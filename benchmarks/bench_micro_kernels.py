@@ -4,8 +4,11 @@ Measures the before/after cost of every kernel the optimization layer
 touches and serializes the results to ``BENCH_kernels.json`` at the repo
 root (the committed copy documents the speedups on the reference machine):
 
-- ``spgemm``            — vectorized-Gustavson multiply, fresh allocations
-                          vs a reused :class:`SpGEMMWorkspace`;
+- ``spgemm``            — the ``F @ A12`` product through the pure
+                          ``kernels.spgemm_csr`` dispatch (scipy's
+                          kernel) on both columns; native = the serial
+                          C row-merge kernel with a reused
+                          :class:`SpGEMMWorkspace`;
 - ``spgemm_parallel``   — the same product, OpenMP row-parallel native
                           kernel at ``REPRO_KERNEL_THREADS=2`` (pure
                           columns track the serial route for reference);
@@ -24,24 +27,25 @@ root (the committed copy documents the speedups on the reference machine):
 - ``tsqr``              — communication-avoiding tall-skinny QR (tracked
                           for drift; not changed by the optimization);
 - ``lu_crtp_e2e`` / ``ilut_crtp_e2e`` — full solves on the fill-in-heavy
-                          M2 analogue, ``optimized=False`` vs ``True``,
-                          both pinned to ``kernel_tier="pure"`` so the
-                          ``tiers.native`` column is a real pure-vs-native
-                          comparison (``auto`` would silently resolve to
-                          native on a warm-cache host and measure native
-                          against itself).
+                          M2 analogue; ``kernel_tier="pure"`` on both
+                          columns, so ``tiers.native.vs_pure`` carries
+                          the comparison (``auto`` would silently resolve
+                          to native on a warm-cache host and measure
+                          native against itself).
 
 Schema v2: on hosts with a working C compiler each bench that has a
 native-tier kernel additionally records a ``tiers.native`` sub-entry —
 ``after_s`` (native seconds), ``speedup`` (vs the bench's ``before_s``
-reference) and ``vs_pure`` (vs the pure optimized route).  ``before_s`` /
+reference) and ``vs_pure`` (vs the pure-tier ``after_s``).  ``before_s`` /
 ``after_s`` / ``speedup`` keep their v1 meaning (pure-tier reference vs
-pure-tier optimized), so old tooling keeps working; hosts without a
-compiler simply omit the ``tiers`` columns.
+pure-tier fast route); benches without a separate reference route record
+the pure route in both columns.  Hosts without a compiler simply omit the
+``tiers`` columns.
 
-Every optimized route is bitwise-parity-checked against its reference in
-``tests/test_opt_parity.py`` (and the native tier against the pure tier
-in ``tests/test_kernel_tiers.py``); this script only tracks *time*.
+Every fast kernel is bitwise-parity-checked against its scipy
+composition in ``tests/test_opt_parity.py`` (and the native tier against
+the pure tier in ``tests/test_kernel_tiers.py``); this script only tracks
+*time*.
 
 Usage::
 
@@ -49,14 +53,15 @@ Usage::
     python benchmarks/bench_micro_kernels.py --quick        # CI smoke mode
     python benchmarks/bench_micro_kernels.py --quick --check-regression
 
-``--check-regression`` exits nonzero when any optimized route measures
-more than 25% slower than its own reference route in the same run — a
+``--check-regression`` exits nonzero when any fast route measures more
+than 25% slower than its own reference route in the same run — a
 machine-independent gate that catches optimizations rotting into
-pessimizations.  The same gate applies per tier: a native kernel more
-than 25% slower than its pure counterpart fails the run.  When a
-previous ``BENCH_kernels.json`` exists it is also compared for drift
-(warnings only, never a failure — absolute times are machine-bound); a
-pre-tier v1 file is migrated in memory with a one-line note.
+pessimizations (trivially met where both columns hold the same route).
+The same gate applies per tier: a native kernel more than 25% slower
+than its pure counterpart fails the run.  When a previous
+``BENCH_kernels.json`` exists it is also compared for drift (warnings
+only, never a failure — absolute times are machine-bound); a pre-tier
+v1 file is migrated in memory with a one-line note.
 """
 
 from __future__ import annotations
@@ -67,6 +72,7 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -80,12 +86,12 @@ from repro.core.ilut_crtp import ILUT_CRTP  # noqa: E402
 from repro.core.lu_crtp import LU_CRTP  # noqa: E402
 from repro.linalg.tsqr import tsqr  # noqa: E402
 from repro.sparse.ops import csr_matmul_nosym, permute, split_2x2  # noqa: E402
-from repro.sparse.spgemm import SpGEMMWorkspace, spgemm  # noqa: E402
+from repro.sparse.spgemm import SpGEMMWorkspace  # noqa: E402
 from repro.sparse.thresholding import (apply_threshold_mask,  # noqa: E402
                                        drop_small, threshold_mask)
 from repro.sparse.window import permuted_blocks  # noqa: E402
 
-#: regression gate: optimized route may be at most this much slower than
+#: regression gate: a fast route may be at most this much slower than
 #: its reference route before the run fails
 REGRESSION_FACTOR = 1.25
 
@@ -96,7 +102,7 @@ SCHEMA_VERSION = 2
 def _add_native_tier(entry: dict, native_s: float) -> dict:
     """Attach the native-tier columns to a bench entry (schema v2):
     seconds, speedup vs the bench's reference route, and the ratio vs the
-    pure optimized route (what the per-tier regression gate checks)."""
+    pure-tier ``after_s`` (what the per-tier regression gate checks)."""
     entry.setdefault("tiers", {})["native"] = {
         "after_s": native_s,
         "speedup": (entry["before_s"] / native_s
@@ -116,6 +122,21 @@ def _mintime(fn, repeats: int) -> float:
     return best
 
 
+@contextmanager
+def _kernel_threads(n: int):
+    """Run the native SpGEMM at ``n`` threads, restoring the caller's
+    ``$REPRO_KERNEL_THREADS`` afterwards."""
+    old = os.environ.get(kernels.THREADS_ENV)
+    os.environ[kernels.THREADS_ENV] = str(n)
+    try:
+        yield
+    finally:
+        if old is None:
+            os.environ.pop(kernels.THREADS_ENV, None)
+        else:
+            os.environ[kernels.THREADS_ENV] = old
+
+
 def _m2_analogue(n: int) -> sp.csc_matrix:
     rng = np.random.default_rng(1)
     A = sp.random(n, n, density=0.02, random_state=rng, format="csc")
@@ -125,28 +146,29 @@ def _m2_analogue(n: int) -> sp.csc_matrix:
 def bench_spgemm(quick: bool, repeats: int, native: bool) -> dict:
     n = 400 if quick else 1200
     rng = np.random.default_rng(2)
-    F = sp.random(n, 64, density=0.20, random_state=rng, format="csc")
-    A12 = sp.random(64, n, density=0.30, random_state=rng, format="csc")
+    F = sp.random(n, 64, density=0.20, random_state=rng, format="csr")
+    A12 = sp.random(64, n, density=0.30, random_state=rng, format="csr")
+    F.sort_indices()
+    A12.sort_indices()
 
-    before = _mintime(lambda: spgemm(F, A12), repeats)
-    ws = SpGEMMWorkspace()
-    spgemm(F, A12, workspace=ws)  # warm the buffers
-    after = _mintime(lambda: spgemm(F, A12, workspace=ws), repeats)
-    entry = {"before_s": before, "after_s": after,
-             "detail": f"F({n}x64, d=0.20) @ A12(64x{n}, d=0.30), "
-                       "fresh allocations vs reused workspace; native = "
-                       "C row-merge on the CSR operands"}
+    t_pure = _mintime(lambda: kernels.spgemm_csr(F, A12, tier="pure"),
+                      repeats)
+    entry = {"before_s": t_pure, "after_s": t_pure,
+             "detail": f"F({n}x64, d=0.20) @ A12(64x{n}, d=0.30); pure "
+                       "spgemm_csr (scipy kernel) on both columns, native "
+                       "= serial C row-merge with a reused workspace"}
     if native:
-        Fr, Ar = F.tocsr(), A12.tocsr()
-        ws2 = SpGEMMWorkspace()
-        C = kernels.spgemm_csr(Fr, Ar, tier="native", workspace=ws2)
-        ref = Fr @ Ar
-        assert (np.array_equal(C.indptr, ref.indptr)
-                and np.array_equal(C.indices, ref.indices)
-                and np.array_equal(C.data, ref.data)), "spgemm tiers disagree"
-        _add_native_tier(entry, _mintime(
-            lambda: kernels.spgemm_csr(Fr, Ar, tier="native", workspace=ws2),
-            repeats))
+        ws = SpGEMMWorkspace()
+        with _kernel_threads(1):
+            C = kernels.spgemm_csr(F, A12, tier="native", workspace=ws)
+            ref = F @ A12
+            assert (np.array_equal(C.indptr, ref.indptr)
+                    and np.array_equal(C.indices, ref.indices)
+                    and np.array_equal(C.data, ref.data)), \
+                "spgemm tiers disagree"
+            _add_native_tier(entry, _mintime(
+                lambda: kernels.spgemm_csr(F, A12, tier="native",
+                                           workspace=ws), repeats))
     return entry
 
 
@@ -175,9 +197,7 @@ def bench_spgemm_parallel(quick: bool, repeats: int, native: bool) -> dict:
         # not apply; the direct import is only for the OpenMP capability note
         from repro.kernels.native import openmp_enabled
         ws = SpGEMMWorkspace()
-        old = os.environ.get(kernels.THREADS_ENV)
-        os.environ[kernels.THREADS_ENV] = str(nthreads)
-        try:
+        with _kernel_threads(nthreads):
             C = kernels.spgemm_csr(F, A12, tier="native", workspace=ws)
             ref = kernels.spgemm_csr(F, A12, tier="pure")
             assert (np.array_equal(C.indptr, ref.indptr)
@@ -189,11 +209,6 @@ def bench_spgemm_parallel(quick: bool, repeats: int, native: bool) -> dict:
             _add_native_tier(entry, _mintime(
                 lambda: kernels.spgemm_csr(F, A12, tier="native",
                                            workspace=ws), repeats))
-        finally:
-            if old is None:
-                os.environ.pop(kernels.THREADS_ENV, None)
-            else:
-                os.environ[kernels.THREADS_ENV] = old
     return entry
 
 
@@ -391,36 +406,26 @@ def bench_e2e(cls, quick: bool, repeats: int, native: bool = False,
     max_rank = 128 if quick else 320
     common = dict(k=32, tol=1e-6, max_rank=max_rank,
                   raise_on_failure=False, **kw)
-    # pin the reference/optimized columns to the pure tier: with the
-    # default ``auto`` request a warm-cache host resolves to native and
-    # the ``tiers.native`` column would measure native against itself
-    pure = dict(common, kernel_tier="pure")
-    r_ref = cls(optimized=False, **pure).solve(A)
-    r_opt = cls(optimized=True, **pure).solve(A)
-    assert np.array_equal(r_ref.row_perm, r_opt.row_perm)
-    assert all(a.indicator == b.indicator
-               for a, b in zip(r_ref.history, r_opt.history))
-    before = _mintime(lambda: cls(optimized=False, **pure).solve(A),
+    # pin the pure column explicitly: with the default ``auto`` request a
+    # warm-cache host resolves to native and the ``tiers.native`` column
+    # would measure native against itself
+    r_pure = cls(kernel_tier="pure", **common).solve(A)  # warm-up
+    t_pure = _mintime(lambda: cls(kernel_tier="pure", **common).solve(A),
                       repeats)
-    after = _mintime(lambda: cls(optimized=True, **pure).solve(A),
-                     repeats)
-    entry = {"before_s": before, "after_s": after,
+    entry = {"before_s": t_pure, "after_s": t_pure,
              "detail": f"M2-analogue n={n}, k=32, max_rank={max_rank}; "
-                       "optimized=False vs True, both kernel_tier='pure' "
-                       "(pivots and indicator trajectories bitwise "
-                       "identical); native = optimized=True with "
-                       "kernel_tier='native'"}
+                       "kernel_tier='pure' on both columns, native = "
+                       "kernel_tier='native' (pivots and indicator "
+                       "trajectories bitwise identical)"}
     if native:
         # warm-up solve: excludes any one-time JIT build/load from timing
         # and checks tier parity on this exact problem
-        r_nat = cls(optimized=True, kernel_tier="native",
-                    **common).solve(A)
-        assert np.array_equal(r_opt.row_perm, r_nat.row_perm)
+        r_nat = cls(kernel_tier="native", **common).solve(A)
+        assert np.array_equal(r_pure.row_perm, r_nat.row_perm)
         assert all(a.indicator == b.indicator
-                   for a, b in zip(r_opt.history, r_nat.history))
+                   for a, b in zip(r_pure.history, r_nat.history))
         _add_native_tier(entry, _mintime(
-            lambda: cls(optimized=True, kernel_tier="native",
-                        **common).solve(A), repeats))
+            lambda: cls(kernel_tier="native", **common).solve(A), repeats))
     return entry
 
 
@@ -520,7 +525,7 @@ def main(argv=None) -> int:
     ap.add_argument("--output", default=str(REPO_ROOT / "BENCH_kernels.json"),
                     help="JSON output path")
     ap.add_argument("--check-regression", action="store_true",
-                    help="exit nonzero if any optimized route is >25%% "
+                    help="exit nonzero if any fast route is >25%% "
                          "slower than its reference route")
     ap.add_argument("--min-native-e2e", type=float, default=None,
                     metavar="RATIO",
@@ -529,9 +534,8 @@ def main(argv=None) -> int:
                          "note when no native tier is available)")
     ap.add_argument("--baseline-repo", default=None,
                     help="path to a pre-PR checkout; also measures the "
-                         "e2e benches there and records pre_pr_before_s "
-                         "(the optimized=False route of the current tree "
-                         "still contains the shared-path optimizations)")
+                         "e2e benches there (default kernel tier) and "
+                         "records pre_pr_before_s")
     args = ap.parse_args(argv)
 
     out = Path(args.output)
@@ -580,7 +584,7 @@ def main(argv=None) -> int:
                 and e.get("tiers", {}).get("native", {}).get("after_s", 0.0)
                 > REGRESSION_FACTOR * e["after_s"]]
         if bad:
-            print(f"REGRESSION: optimized route >{REGRESSION_FACTOR}x "
+            print(f"REGRESSION: fast route >{REGRESSION_FACTOR}x "
                   f"slower than reference in: {', '.join(bad)}",
                   file=sys.stderr)
             return 1

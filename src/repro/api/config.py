@@ -3,9 +3,9 @@
 Every fixed-precision solver historically grew its own constructor
 signature; the unified API narrows them to one frozen, hashable shape
 covering the parameters the paper varies (block size ``k``, tolerance
-``tau``, power ``p``, seed, the ILUT iteration estimate ``u``) plus the
-cross-cutting flags added by later PRs (``optimized`` parity routes,
-``checkpointing``).  Method-specific knobs (``l_formula``, ``mu``,
+``tau``, power ``p``, seed, the ILUT iteration estimate ``u``) plus
+cross-cutting flags (``kernel_tier``, ``checkpointing``, ``machine``,
+``trace``).  Method-specific knobs (``l_formula``, ``mu``,
 ``aggressive``, ...) pass through the ``extras`` mapping and are validated
 against the target solver's dataclass fields at construction time.
 
@@ -13,9 +13,8 @@ against the target solver's dataclass fields at construction time.
 solve service keys its content-addressed cache on
 ``(matrix fingerprint, method, config.cache_key())``.  ``cache_key``
 excludes ``tol`` (so a tighter-``tau`` factorization can satisfy a looser
-request — the τ-dominance rule), ``checkpointing`` (an execution detail)
-and ``optimized`` (the PR-2 parity contract pins optimized and reference
-routes to bitwise-identical results).
+request — the τ-dominance rule) and ``checkpointing``/``trace``
+(execution details).
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Any
 #: separately: only its ``comm_algo`` can change results (tree/ring
 #: transports reorder floating-point reductions on the procs backend), so
 #: only that field enters the key — and only when it is not ``"flat"``.
-_NON_IDENTITY_FIELDS = ("tol", "checkpointing", "optimized", "trace")
+_NON_IDENTITY_FIELDS = ("tol", "checkpointing", "trace")
 
 
 def _freeze_extras(extras) -> tuple:
@@ -64,9 +63,6 @@ class SolverConfig:
     estimated_iterations:
         ILUT heuristic (24) iteration estimate ``u`` (positive int or
         ``"auto"``); ignored by the other methods.
-    optimized:
-        Select the PR-2 optimized kernel routes (bitwise-identical results
-        by the parity contract).
     checkpointing:
         Ask the runtime (service / CLI) to attach per-iteration checkpoint
         hooks; inert for solvers without checkpoint support (RandUBV).
@@ -103,7 +99,6 @@ class SolverConfig:
     power: int = 1
     seed: int = 0
     estimated_iterations: int | str = 10
-    optimized: bool = True
     checkpointing: bool = False
     max_rank: int | None = None
     kernel_tier: str = "auto"
@@ -168,7 +163,7 @@ class SolverConfig:
     def cache_key(self) -> str:
         """Stable string identifying the factorization this config yields.
 
-        Excludes ``tol``/``checkpointing``/``optimized``/``trace`` (see
+        Excludes ``tol``/``checkpointing``/``trace`` (see
         module docstring); everything else is serialized as canonical
         JSON with sorted keys so logically-equal configs collide.  Of the
         ``machine`` only a non-``"flat"`` ``comm_algo`` is identity: cost
@@ -196,7 +191,7 @@ def constructor_kwargs(solver_cls, config: SolverConfig) -> dict[str, Any]:
     accepted = {f.name for f in dataclasses.fields(solver_cls)}
     kwargs: dict[str, Any] = {}
     for name in ("k", "tol", "power", "seed", "estimated_iterations",
-                 "optimized", "max_rank", "kernel_tier"):
+                 "max_rank", "kernel_tier"):
         if name in accepted:
             kwargs[name] = getattr(config, name)
     for name, value in config.extras:

@@ -5,13 +5,11 @@
 the implementing class and its accepted aliases.  ``make_solver`` is the
 single construction entry point: resolve the name, translate the
 :class:`~repro.api.config.SolverConfig` into constructor kwargs and
-instantiate.  The old keyword style (``make_solver("lu", k=8, tol=1e-2)``)
-still works through a deprecation shim that warns once per process.
+instantiate.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from ..exceptions import UnknownSolverError
@@ -91,12 +89,9 @@ def get_spec(name: str) -> SolverSpec:
     return SOLVERS[resolve_method(name)]
 
 
-_warned_kwargs_shim = False
-
-
 def make_solver(name: str, config: SolverConfig | dict | None = None, *,
                 callback=None, checkpoint_path=None, checkpoint_every=1,
-                checkpoint_callback=None, recovery=None, **legacy_kwargs):
+                checkpoint_callback=None, recovery=None):
     """Construct a solver instance from the registry.
 
     Parameters
@@ -105,39 +100,15 @@ def make_solver(name: str, config: SolverConfig | dict | None = None, *,
         Any alias from the ``SOLVERS`` table (case-insensitive).
     config:
         A :class:`SolverConfig` (or its ``to_dict`` form).  ``None`` means
-        defaults — unless deprecated ``legacy_kwargs`` are given.
+        defaults.
     callback / checkpoint_path / checkpoint_every / checkpoint_callback /
     recovery:
         Runtime hooks forwarded verbatim when the solver supports them;
         they are execution details and deliberately *not* part of the
         config (nor of its cache identity).
-    legacy_kwargs:
-        The pre-registry keyword style (``k=``, ``tol=``, ...).  Still
-        honored, but emits a single :class:`DeprecationWarning` per
-        process pointing at :class:`SolverConfig`.
     """
     spec = get_spec(name)
-    if legacy_kwargs:
-        global _warned_kwargs_shim
-        if not _warned_kwargs_shim:
-            warnings.warn(
-                "passing raw solver kwargs to make_solver is deprecated; "
-                "pass a repro.api.SolverConfig instead",
-                DeprecationWarning, stacklevel=2)
-            _warned_kwargs_shim = True
-        base = {} if config is None else (
-            config.to_dict() if isinstance(config, SolverConfig)
-            else dict(config))
-        known = set(SolverConfig.__dataclass_fields__)
-        extras = dict(base.get("extras", ()))
-        for key, value in legacy_kwargs.items():
-            if key in known:
-                base[key] = value
-            else:
-                extras[key] = value
-        base["extras"] = extras
-        config = SolverConfig.from_dict(base)
-    elif config is None:
+    if config is None:
         config = SolverConfig()
     elif isinstance(config, dict):
         config = SolverConfig.from_dict(config)

@@ -32,7 +32,7 @@ from ..linalg.norms import fro_norm
 from ..ordering.etree import colamd_preprocess
 from ..results import LUApproximation
 from ..sparse.ops import assemble_L_global, assemble_U_global, permute_cols
-from ..sparse.thresholding import drop_small, drop_sorted_budget
+from ..sparse.thresholding import drop_sorted_budget
 from ..sparse.utils import ensure_csc
 from .lu_crtp import LU_CRTP, NUMERICAL_RANK_RTOL
 from .termination import check_tolerance
@@ -242,7 +242,7 @@ class ILUT_CRTP(LU_CRTP):
             last_dropped_sq = 0.0
             if not done and thresholding_on and mu > 0:
                 # lines 8-10: threshold, account, control
-                if self.optimized and not self.aggressive:
+                if not self.aggressive:
                     # Fused single-pass route: compute the mask and the
                     # perturbation accounting first, check the line-10
                     # control bound *before* committing, and only then
@@ -270,11 +270,7 @@ class ILUT_CRTP(LU_CRTP):
                             schur = kernels.apply_threshold_mask(
                                 schur, mask, tier=tier)
                 else:
-                    if self.aggressive:
-                        res = drop_sorted_budget(schur, phi, t_acc_sq,
-                                                 cap=phi)
-                    else:
-                        res = drop_small(schur, mu)
+                    res = drop_sorted_budget(schur, phi, t_acc_sq, cap=phi)
                     if np.sqrt(t_acc_sq + res.dropped_norm_sq) >= phi:
                         # line 10: undo and disable thresholding
                         thresholding_on = False
@@ -300,8 +296,7 @@ class ILUT_CRTP(LU_CRTP):
                 factor_nnz=sum(b.nnz for b in Lblocks) +
                 sum(b.nnz for b in Ublocks),
                 dropped_nnz=dropped_nnz, dropped_norm_sq=dropped_sq,
-                extra={"trace": art.stats,
-                       "kernel_seconds": art.kernel_seconds}))
+                extra={"trace": art.stats}))
             if self.callback is not None:
                 self.callback(history[-1])
             if self._checkpointing() \

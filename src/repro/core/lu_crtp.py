@@ -37,14 +37,8 @@ from ..linalg.norms import fro_norm
 from ..ordering.etree import colamd_preprocess
 from ..pivoting.tournament import qr_tp, qr_tp_rows
 from ..results import LUApproximation
-from ..sparse.ops import (
-    assemble_L_global,
-    assemble_U_global,
-    permute_cols,
-    permute_rows,
-    split_2x2,
-)
-from ..sparse.utils import drop_explicit_zeros, ensure_csc, ensure_csr
+from ..sparse.ops import assemble_L_global, assemble_U_global, permute_cols
+from ..sparse.utils import ensure_csc, ensure_csr
 from ..sparse.window import (
     csr_rows_to_dense,
     dense_rows_to_csr,
@@ -69,7 +63,6 @@ class IterationArtifacts:
     col_perm_local: np.ndarray
     r11_diag: np.ndarray
     tournament_stats: object
-    kernel_seconds: dict
     stats: dict
 
 
@@ -109,10 +102,6 @@ class LU_CRTP:
         Entries of the Schur complement at or below this magnitude are
         treated as exact cancellation noise and pruned (this is *not*
         ILUT thresholding; it only removes round-off debris).
-    schur_engine:
-        ``"scipy"`` (default) or ``"native"`` — use the library's own
-        vectorized-Gustavson SpGEMM (:mod:`repro.sparse.spgemm`) for the
-        ``F @ A12`` product.
     qr_engine:
         Factorization used on the k winning columns (Algorithm 2 line 6):
         ``"cholqr2"`` (default — Gram-based, fastest here) or
@@ -129,10 +118,8 @@ class LU_CRTP:
         shrinks.  ``0`` disables.
     kernel_tier:
         Kernel tier request (``"auto"``/``"pure"``/``"native"``) for the
-        hot-path kernels of the optimized route; see :mod:`repro.kernels`.
-        Both tiers produce bitwise-identical factorizations.  The
-        reference route (``optimized=False``) always runs pure — it *is*
-        the oracle the native tier is pinned against.
+        hot-path kernels; see :mod:`repro.kernels`.  Both tiers produce
+        bitwise-identical factorizations.
     """
 
     k: int = 32
@@ -147,13 +134,9 @@ class LU_CRTP:
     stop_at_numerical_rank: bool = True
     zero_drop_tol: float = 0.0
     raise_on_failure: bool = False
-    schur_engine: str = "scipy"
     discard_small_columns: float = 0.0
     qr_engine: str = "cholqr2"
     kernel_tier: str = "auto"
-    optimized: bool = True  # fused permute/split + direct-CSR F assembly;
-    # False selects the reference per-iteration path (kept for parity tests
-    # and as the "before" side of the tracked micro-benchmarks)
     target_rank: int | None = None  # fixed-RANK mode (Grigori et al.'s
     # original problem): run to this rank, ignoring the tolerance test
     callback: object = None  # optional per-iteration hook: f(IterationRecord)
@@ -171,11 +154,9 @@ class LU_CRTP:
         self.kernel_tier = validate_request(self.kernel_tier)
 
     def _resolve_kernel_tier(self) -> str:
-        """Resolve the tier once per solve; the reference route is pinned
-        to pure (it is the parity oracle)."""
+        """Resolve the tier once per solve."""
         from ..kernels import record_tier, resolve_tier
-        tier = "pure" if not self.optimized \
-            else resolve_tier(self.kernel_tier)
+        tier = resolve_tier(self.kernel_tier)
         self._kernel_tier_resolved = tier
         return record_tier(tier)
 
@@ -286,8 +267,7 @@ class LU_CRTP:
                 schur_nnz=int(active.nnz), schur_shape=tuple(active.shape),
                 factor_nnz=sum(b.nnz for b in Lblocks) +
                 sum(b.nnz for b in Ublocks),
-                extra={"trace": art.stats,
-                       "kernel_seconds": art.kernel_seconds}))
+                extra={"trace": art.stats}))
             if self.callback is not None:
                 self.callback(history[-1])
             if self._checkpointing() \
@@ -365,40 +345,26 @@ class LU_CRTP:
     # ------------------------------------------------------------------
     def _iteration(self, active: sp.csc_matrix, k_i: int, i: int,
                    r11_first: float | None) -> IterationArtifacts:
-        """Lines 4-12 of Algorithm 2 on the active matrix."""
-        if self.optimized:
-            return self._iteration_fast(active, k_i, i, r11_first)
-        return self._iteration_reference(active, k_i, i, r11_first)
+        """Lines 4-12 of Algorithm 2 on the active matrix.
 
-    def _iteration_fast(self, active: sp.csc_matrix, k_i: int, i: int,
-                        r11_first: float | None) -> IterationArtifacts:
-        """Index-window formulation of the block iteration.
-
-        Identical arithmetic to :meth:`_iteration_reference` — same pivots
-        (bitwise), same Schur complement values in the same canonical order
-        — but the active matrix is never materialized in permuted form:
-        the permutations stay index maps and every entry is routed straight
-        to its destination block (:func:`repro.sparse.window.permuted_blocks`).
-        ``F`` is assembled directly in CSR from the dense triangular-solve
-        result instead of through a ``lil_matrix``.
-
-        The window split and the ``F @ A12`` Schur product dispatch
-        through :mod:`repro.kernels` on the tier resolved in
-        :meth:`solve` (pure and native tiers are bitwise-identical).
+        The active matrix is never materialized in permuted form: the
+        permutations stay index maps and every entry is routed straight
+        to its destination block (:func:`repro.sparse.window.permuted_blocks`),
+        and ``F`` is assembled directly in CSR from the dense
+        triangular-solve result.  The window split and the ``F @ A12``
+        Schur product dispatch through :mod:`repro.kernels` on the tier
+        resolved in :meth:`solve` (pure and native tiers are
+        bitwise-identical).
         """
         from .. import kernels
         tier = getattr(self, "_kernel_tier_resolved", None) or "pure"
-        kernel_seconds: dict[str, float] = {}
 
         # line 5: column tournament (optionally on a reduced candidate set)
-        t = time.perf_counter()
         with perf.timer("col_qr_tp"):
             col_tp = self._column_tournament(active, k_i)
-        kernel_seconds["col_qr_tp"] = time.perf_counter() - t
 
         # line 6: sparse QR of the k selected columns (gathered directly —
         # the fully permuted matrix is never built)
-        t = time.perf_counter()
         with perf.timer("sparse_qr"):
             selected = extract_leading_columns(active, col_tp.perm[:k_i])
             if self.qr_engine == "householder":
@@ -409,138 +375,35 @@ class LU_CRTP:
                 Qk, _Rk, _ = cholqr2(selected,
                                      recovery_log=self._recovery_log(),
                                      tier=tier)
-        kernel_seconds["sparse_qr"] = time.perf_counter() - t
 
         # line 7: row tournament on Q_k^T
-        t = time.perf_counter()
         with perf.timer("row_qr_tp"):
             row_tp = qr_tp_rows(Qk, k_i, tree=self.tree, tier=tier)
-        kernel_seconds["row_qr_tp"] = time.perf_counter() - t
 
         # line 8: fused permutation + 2x2 split (the index-window pass)
-        t = time.perf_counter()
         with perf.timer("permute_split"):
             A11d, A12, A21, A22 = kernels.permuted_blocks(
                 active, col_tp.perm, row_tp.perm, k_i, tier=tier)
-        kernel_seconds["permute_rows"] = time.perf_counter() - t
 
         # line 10/12: F = A21 A11^{-1} (or the orthogonal-formula variant)
-        t = time.perf_counter()
         with perf.timer("solve_F"):
-            F = self._compute_F_fast(A11d, A21, Qk, row_tp.perm, k_i, i)
-        kernel_seconds["solve"] = time.perf_counter() - t
+            F = self._compute_F(A11d, A21, Qk, row_tp.perm, k_i, i)
 
-        t = time.perf_counter()
         f_colnnz = np.bincount(F.indices, minlength=k_i)
         schur_flops = 2.0 * float(np.dot(f_colnnz, np.diff(A12.indptr)))
         with perf.timer("schur"):
-            if self.schur_engine == "native":
-                from ..sparse.spgemm import SpGEMMWorkspace, spgemm
-                ws = getattr(self, "_spgemm_ws", None)
-                if ws is None:
-                    ws = self._spgemm_ws = SpGEMMWorkspace()
-                # dtype-preserving engine: the tier registry's float64
-                # contract does not apply here
-                prod = spgemm(F, A12, workspace=ws)
-                schur = (A22 - prod).tocsc()  # repro: noqa[SPMD004]
-                drop_explicit_zeros(schur, tol=self.zero_drop_tol)
-            else:
-                # one dispatch for multiply + subtract + convert + drop —
-                # the native tier fuses the chain, pure runs the exact
-                # composition this site used to spell out
-                schur = kernels.schur_update_csc(
-                    A22, F, A12, tol=self.zero_drop_tol, tier=tier)
+            # one dispatch for multiply + subtract + convert + drop — the
+            # native tier fuses the chain, pure runs the scipy composition
+            schur = kernels.schur_update_csc(
+                A22, F, A12, tol=self.zero_drop_tol, tier=tier)
             perf.add_flops("schur", schur_flops)
-        kernel_seconds["schur"] = time.perf_counter() - t
 
         Lk = sp.vstack([sp.identity(k_i, format="csc"), F], format="csc")
         Uk = sp.hstack([sp.csr_matrix(A11d), A12], format="csr")
 
-        stats = {
-            "m_i": int(active.shape[0]),
-            "n_i": int(active.shape[1]),
-            "k_i": int(k_i),
-            "active_nnz": int(active.nnz),
-            "col_nnz": np.diff(active.indptr).astype(np.int64),
-            "sel_nnz": int(selected.nnz),
-            "f_rows": int(np.count_nonzero(np.diff(F.indptr))),
-            "f_nnz": int(F.nnz),
-            "a12_nnz": int(A12.nnz),
-            "schur_nnz": int(schur.nnz),
-            "schur_flops": schur_flops,
-            "tournament_flops": float(col_tp.stats.total_flops),
-        }
-        return IterationArtifacts(
-            Lk=Lk, Uk=Uk, schur=schur,
-            row_perm_local=row_tp.perm, col_perm_local=col_tp.perm,
-            r11_diag=col_tp.r11_diag, tournament_stats=col_tp.stats,
-            kernel_seconds=kernel_seconds, stats=stats)
-
-    def _iteration_reference(self, active: sp.csc_matrix, k_i: int, i: int,
-                             r11_first: float | None) -> IterationArtifacts:
-        """Pre-optimization per-iteration path (materialized permutations).
-
-        Retained as the parity oracle for the fast path and as the "before"
-        side of ``benchmarks/bench_micro_kernels.py``.
-        """
-        kernel_seconds: dict[str, float] = {}
-
-        # line 5: column tournament (optionally on a reduced candidate set)
-        t = time.perf_counter()
-        col_tp = self._column_tournament(active, k_i)
-        kernel_seconds["col_qr_tp"] = time.perf_counter() - t
-        Apc = permute_cols(active, col_tp.perm)
-
-        # line 6: sparse QR of the k selected columns
-        t = time.perf_counter()
-        selected = Apc[:, :k_i]
-        if self.qr_engine == "householder":
-            from ..linalg.sparse_qr import sparse_householder_qr
-            fqr = sparse_householder_qr(selected)
-            Qk = fqr.explicit_q()
-        else:
-            Qk, _Rk, _ = cholqr2(selected, recovery_log=self._recovery_log())
-        kernel_seconds["sparse_qr"] = time.perf_counter() - t
-
-        # line 7: row tournament on Q_k^T
-        t = time.perf_counter()
-        row_tp = qr_tp_rows(Qk, k_i, tree=self.tree)
-        kernel_seconds["row_qr_tp"] = time.perf_counter() - t
-
-        # line 8: apply the row permutation
-        t = time.perf_counter()
-        Abar = permute_rows(Apc, row_tp.perm)
-        kernel_seconds["permute_rows"] = time.perf_counter() - t
-
-        A11, A12, A21, A22 = split_2x2(Abar, k_i)
-        A11d = A11.toarray()
-
-        # line 10/12: F = A21 A11^{-1} (or the orthogonal-formula variant)
-        t = time.perf_counter()
-        F = self._compute_F(A11d, A21, Qk, row_tp.perm, k_i, i)
-        kernel_seconds["solve"] = time.perf_counter() - t
-
-        t = time.perf_counter()
-        # reference route stays plain scipy on purpose: it is the oracle
-        # the optimized/native routes are pinned against
-        if self.schur_engine == "native":
-            from ..sparse.spgemm import spgemm
-            schur = (A22 - spgemm(F, A12)).tocsc()  # repro: noqa[SPMD004]
-        else:
-            schur = (A22 - F @ A12).tocsc()  # repro: noqa[SPMD004]
-        drop_explicit_zeros(schur, tol=self.zero_drop_tol)
-        kernel_seconds["schur"] = time.perf_counter() - t
-
-        Lk = sp.vstack([sp.identity(k_i, format="csc"), F], format="csc")
-        Uk = sp.hstack([A11, A12], format="csr")
-
         # Trace statistics consumed by the parallel performance model
         # (repro.parallel.perfmodel): enough to reconstruct per-rank flop and
         # byte counts for any process count without re-running.
-        Fc = F.tocsc()  # repro: noqa[SPMD004]
-        A12r = A12.tocsr()  # repro: noqa[SPMD004]
-        schur_flops = 2.0 * float(
-            np.dot(np.diff(Fc.indptr), np.diff(A12r.indptr)))
         stats = {
             "m_i": int(active.shape[0]),
             "n_i": int(active.shape[1]),
@@ -559,7 +422,7 @@ class LU_CRTP:
             Lk=Lk, Uk=Uk, schur=schur,
             row_perm_local=row_tp.perm, col_perm_local=col_tp.perm,
             r11_diag=col_tp.r11_diag, tournament_stats=col_tp.stats,
-            kernel_seconds=kernel_seconds, stats=stats)
+            stats=stats)
 
     # ------------------------------------------------------------------
     def _column_tournament(self, active: sp.csc_matrix, k_i: int):
@@ -589,16 +452,16 @@ class LU_CRTP:
         return res
 
     # ------------------------------------------------------------------
-    def _compute_F(self, A11d: np.ndarray, A21: sp.csc_matrix,
+    def _compute_F(self, A11d: np.ndarray, A21: sp.csr_matrix,
                    Qk: np.ndarray, row_perm: np.ndarray, k_i: int,
                    i: int) -> sp.csr_matrix:
-        """``F = A21 A11^{-1}`` restricted to the nonzero rows of ``A21``.
+        """``F = A21 A11^{-1}`` restricted to the nonzero rows of the CSR
+        block ``A21``, assembled directly in canonical CSR.
 
         Raises :class:`RankDeficiencyBreakdown` when the pivot block is
         numerically singular (the §III-A failure mode).
         """
         formula = self.l_formula
-        cond = None
         if formula == "auto":
             cond = np.linalg.cond(A11d)
             formula = "orthogonal" if cond > 1e10 else "schur"
@@ -606,51 +469,6 @@ class LU_CRTP:
         if formula == "orthogonal":
             # Qbar = P_r Q_k; F = Qbar21 Qbar11^{-1}. Equal to A21 A11^{-1} in
             # exact arithmetic but bounded entries; dense (extra fill-in).
-            Qbar = Qk[row_perm]
-            Q11, Q21 = Qbar[:k_i], Qbar[k_i:]
-            try:
-                Fd = np.linalg.solve(Q11.T, Q21.T).T
-            except np.linalg.LinAlgError as exc:
-                raise RankDeficiencyBreakdown(
-                    "orthogonal pivot block singular", iteration=i) from exc
-            Fs = sp.csr_matrix(Fd)
-            Fs.data[np.abs(Fs.data) < 1e-300] = 0.0
-            Fs.eliminate_zeros()
-            return Fs
-
-        A21r = A21.tocsr()  # repro: noqa[SPMD004]
-        rows = np.flatnonzero(np.diff(A21r.indptr))
-        mrest = A21.shape[0]
-        if rows.size == 0:
-            return sp.csr_matrix((mrest, k_i))
-        try:
-            # solve X A11 = A21[rows]  <=>  A11^T X^T = A21[rows]^T
-            Fsub = np.linalg.solve(A11d.T, A21r[rows].toarray().T).T
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficiencyBreakdown(
-                "pivot block A11 numerically singular", iteration=i) from exc
-        if not np.all(np.isfinite(Fsub)):
-            raise RankDeficiencyBreakdown(
-                "pivot block A11 produced non-finite multipliers", iteration=i)
-        F = sp.lil_matrix((mrest, k_i))
-        F[rows] = Fsub
-        F = F.tocsr()  # repro: noqa[SPMD004]
-        F.data[np.abs(F.data) < 1e-300] = 0.0
-        F.eliminate_zeros()
-        return F
-
-    def _compute_F_fast(self, A11d: np.ndarray, A21: sp.csr_matrix,
-                        Qk: np.ndarray, row_perm: np.ndarray, k_i: int,
-                        i: int) -> sp.csr_matrix:
-        """:meth:`_compute_F` with ``A21`` already CSR and the sparse
-        result assembled directly (no ``lil_matrix``).  Same values, same
-        canonical ordering, same breakdown conditions."""
-        formula = self.l_formula
-        if formula == "auto":
-            cond = np.linalg.cond(A11d)
-            formula = "orthogonal" if cond > 1e10 else "schur"
-
-        if formula == "orthogonal":
             Qbar = Qk[row_perm]
             Q11, Q21 = Qbar[:k_i], Qbar[k_i:]
             try:

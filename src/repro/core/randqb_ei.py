@@ -82,9 +82,6 @@ class RandQB_EI:
     kernel_tier: str = "auto"  # kernel tier request; RandQB_EI's hot path
     # is dense BLAS so both tiers run identical code — the resolved tier is
     # still recorded on the result for uniform provenance
-    optimized: bool = True  # batched sketches + in-place reorth; the
-    # consumed draws and every BLAS product are identical to the reference
-    # route, so Q/B and the indicator trajectory match bitwise
     _rng: np.random.Generator = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -112,8 +109,7 @@ class RandQB_EI:
                         allow_unsafe=self.allow_unsafe_tolerance)
         t0 = time.perf_counter()
         from ..kernels import record_tier, resolve_tier
-        tier = record_tier("pure" if not self.optimized
-                           else resolve_tier(self.kernel_tier))
+        tier = record_tier(resolve_tier(self.kernel_tier))
         m, n = A.shape
         max_rank = min(self.max_rank or min(m, n), min(m, n))
         if self.target_rank is not None:
@@ -156,18 +152,18 @@ class RandQB_EI:
                     and extra_left <= 0:
                 converged = True
                 max_rank = K  # already done: skip the loop below
-        # Optimized sketching: pre-draw several full-size Gaussian blocks in
+        # Batched sketching: pre-draw several full-size Gaussian blocks in
         # one vectorized call.  ``gaussian_batch`` consumes the RNG stream
         # exactly as the per-iteration draws would, so every Omega the loop
         # *uses* is bitwise identical; only Gaussian sketches batch, and
-        # checkpointing runs disable it (a checkpoint must capture an RNG
-        # state that has not been advanced past unconsumed draws).
-        batch_sketch = (self.optimized
-                        and SketchKind(self.sketch) is SketchKind.GAUSSIAN
+        # checkpointing runs draw one block at a time (a checkpoint must
+        # capture an RNG state that has not been advanced past unconsumed
+        # draws).
+        batch_sketch = (SketchKind(self.sketch) is SketchKind.GAUSSIAN
                         and self.checkpoint_path is None
                         and self.checkpoint_callback is None)
         omega_queue: list[np.ndarray] = []
-        work = reorth_workspace(m, self.k) if self.optimized else None
+        work = reorth_workspace(m, self.k)
 
         while K < max_rank:
             i += 1
@@ -188,10 +184,7 @@ class RandQB_EI:
             with perf.timer("project"):
                 Y = A @ Omega
                 if K > 0:
-                    if self.optimized:
-                        Y -= Q[:, :K] @ (B[:K] @ Omega)
-                    else:
-                        Y = Y - Q[:, :K] @ (B[:K] @ Omega)
+                    Y -= Q[:, :K] @ (B[:K] @ Omega)
             with perf.timer("orth"):
                 Qk = orth(np.asarray(Y))
 
@@ -206,10 +199,7 @@ class RandQB_EI:
                 with perf.timer("project"):
                     Y = A @ Qhat
                     if K > 0:
-                        if self.optimized:
-                            Y -= Q[:, :K] @ (B[:K] @ Qhat)
-                        else:
-                            Y = Y - Q[:, :K] @ (B[:K] @ Qhat)
+                        Y -= Q[:, :K] @ (B[:K] @ Qhat)
                 with perf.timer("orth"):
                     Qk = orth(np.asarray(Y))
 

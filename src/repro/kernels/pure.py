@@ -1,8 +1,9 @@
 """Pure tier: the existing NumPy/SciPy kernel routes, unchanged.
 
-These are thin bindings of the PR-2 optimized implementations onto the
-dispatch signatures of :mod:`repro.kernels` — the always-available
-fallback tier and the bitwise oracle the native tier is pinned against.
+These are thin bindings of the NumPy/SciPy implementations in
+:mod:`repro.sparse` and :mod:`repro.linalg` onto the dispatch signatures
+of :mod:`repro.kernels` — the always-available fallback tier and the
+bitwise oracle the native tier is pinned against.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ def csc_to_csr(A):
 def gather_columns(A, cols):
     """``A[:, cols]`` of a canonical CSC matrix — the vectorized
     position-gather route (``gather_positions`` + validation-free
-    assembly) the optimized solvers ran before this entry point
-    existed."""
+    assembly)."""
     from ..sparse.utils import raw_csc
     cols = np.asarray(cols)
     pos, counts = _window.gather_positions(A.indptr, cols.astype(np.int64))
@@ -54,8 +54,8 @@ def gather_columns(A, cols):
 
 
 def gram_csc(B1, B2, workspace=None):
-    """Dense ``B1.T @ B2`` of canonical float64 CSC panels (the PR-2
-    ``_cross_gram_kernel`` route)."""
+    """Dense ``B1.T @ B2`` of canonical float64 CSC panels (the
+    ``_cross_gram_kernel`` route of :mod:`repro.linalg.cholqr`)."""
     del workspace
     from ..linalg.cholqr import _cross_gram_kernel
     return _cross_gram_kernel(B1, B2)
@@ -64,9 +64,8 @@ def gram_csc(B1, B2, workspace=None):
 def schur_update_csc(A22, F, A12, tol: float | None = None,
                      workspace=None, threads: int = 1):
     """The Schur-complement update ``(A22 - F @ A12).tocsc()`` with the
-    explicit-zero drop applied when ``tol`` is not ``None`` — exactly the
-    optimized-route composition the solvers ran before this entry point
-    existed."""
+    explicit-zero drop applied when ``tol`` is not ``None`` — the scipy
+    composition, with the symbolic-free ``csr_matmul_nosym`` product."""
     del workspace, threads
     schur = (A22 - csr_matmul_nosym(F, A12)).tocsc()
     if tol is not None:

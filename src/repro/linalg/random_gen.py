@@ -37,9 +37,9 @@ def gaussian_batch(n: int, k: int, count: int,
     numpy's Generator fills arrays in C order from a single value stream,
     so ``gaussian_batch(n, k, b, rng)[j]`` is *bitwise identical* to the
     ``j``-th of ``b`` sequential :func:`gaussian` calls, and the generator
-    is left in the identical state afterwards.  RandQB_EI's optimized path
-    uses this to amortize ``b`` ziggurat passes into one vectorized call
-    without perturbing the reproducible draw sequence.
+    is left in the identical state afterwards.  RandQB_EI uses this to
+    amortize ``b`` ziggurat passes into one vectorized call without
+    perturbing the reproducible draw sequence.
     """
     return rng.standard_normal((count, n, k))
 

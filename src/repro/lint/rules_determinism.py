@@ -1,12 +1,13 @@
 """SPMD003 — determinism / bitwise-parity discipline.
 
-The optimized solver paths are pinned by a *bitwise* parity contract
-(``tests/test_opt_parity.py``): identical pivots, factors and indicator
-trajectories between reference and optimized routes, and between the
-thread and process SPMD backends.  Any nondeterminism source inside those
-hot paths silently voids the contract — across ranks it additionally
-desynchronizes SPMD lockstep (e.g. a data-dependent branch on a wall
-clock).
+The solver paths are pinned by a *bitwise* parity contract
+(``tests/test_opt_parity.py``, ``tests/test_kernel_tiers.py``): identical
+pivots, factors and indicator trajectories between the solver and its
+plain-scipy spelling, between the pure and native kernel tiers, and
+between the thread and process SPMD backends.  Any nondeterminism source
+inside those hot paths silently voids the contract — across ranks it
+additionally desynchronizes SPMD lockstep (e.g. a data-dependent branch
+on a wall clock).
 
 Flagged inside solver hot paths (``repro/core/*``,
 ``repro/parallel/spmd.py``, ``repro/parallel/kernels.py``, and any SPMD

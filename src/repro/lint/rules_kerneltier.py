@@ -22,9 +22,8 @@ paths must route conversions through ``ensure_csc`` / ``ensure_csr`` (or
 ``repro.kernels.csr_to_csc`` / ``csc_to_csr``) so the native conversion
 kernel and the ``kernel_tier.convert_*`` perf counters see them; a bare
 ``.tocsc()`` silently pays the scipy conversion tax the native tier was
-built to remove.  Audited sites where plain scipy is intentional (the
-reference oracle route, dtype-preserving engines) carry
-``# repro: noqa[SPMD004]``.
+built to remove.  An audited site where plain scipy is intentional
+carries ``# repro: noqa[SPMD004]``.
 
 Tests are exempt by construction (the lint pass runs over ``src``), and
 the registry package itself may import its own tiers freely.

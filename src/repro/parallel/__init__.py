@@ -50,9 +50,7 @@ from .perfmodel import (
 from .report import (
     CommReport,
     ScalingCurve,
-    comm_volume_table,  # deprecated shim: use CommReport.table
     speedup_table,
-    summarize_ledgers,  # deprecated shim: use CommReport.from_ledgers
 )
 from .replay import (
     ExtrapolationReport,
@@ -75,7 +73,6 @@ __all__ = [
     "BACKENDS",
     "COMM_ALGOS",
     "CommLedger",
-    "summarize_ledgers",
     "ProcComm",
     "run_spmd_procs",
     "SharedMatrix",
@@ -103,7 +100,6 @@ __all__ = [
     "strong_scaling",
     "ScalingCurve",
     "CommReport",
-    "comm_volume_table",
     "speedup_table",
     "ReplayReport",
     "ExtrapolationReport",

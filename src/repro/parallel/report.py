@@ -2,15 +2,11 @@
 
 :class:`CommReport` is the one entry point for communication-volume
 reporting: build it from a ``run_spmd`` output, raw per-rank ledgers, or
-a captured :class:`~repro.trace.schema.CommTrace` — the legacy
-free functions (``comm_volume_table``, ``summarize_ledgers`` as exported
-from :mod:`repro.parallel`) remain as deprecation shims that warn once
-per process.
+a captured :class:`~repro.trace.schema.CommTrace`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,47 +141,6 @@ class CommReport:
                      f"{_fmt_bytes(comm.get('bytes_sent', 0.0)):>14s}"
                      f"{comm.get('msgs', 0):8d}{'':>12s}")
         return "\n".join(lines)
-
-
-# -- deprecation shims (warn once per process) ------------------------------
-
-_warned_comm_volume_table = False
-_warned_summarize_ledgers = False
-
-
-def comm_volume_table(comm: dict, *, by: str = "op") -> str:
-    """Deprecated: use :meth:`CommReport.table`.
-
-    Retained as a once-warning shim so existing callers keep working;
-    delegates to ``CommReport(comm).table(by=by)``.
-    """
-    global _warned_comm_volume_table
-    if not _warned_comm_volume_table:
-        warnings.warn(
-            "comm_volume_table() is deprecated; use "
-            "repro.parallel.CommReport(comm).table(by=...) instead",
-            DeprecationWarning, stacklevel=2)
-        _warned_comm_volume_table = True
-    return CommReport(comm).table(by=by)
-
-
-def summarize_ledgers(ledgers, *, backend: str, algo: str) -> dict:
-    """Deprecated public alias: use :meth:`CommReport.from_ledgers`.
-
-    The aggregation itself lives in
-    :func:`repro.parallel.collectives.summarize_ledgers` (still used
-    internally); this shim covers callers that imported it through
-    ``repro.parallel`` and warns once per process.
-    """
-    global _warned_summarize_ledgers
-    if not _warned_summarize_ledgers:
-        warnings.warn(
-            "summarize_ledgers() is deprecated as a public API; use "
-            "repro.parallel.CommReport.from_ledgers(...).to_dict() "
-            "instead", DeprecationWarning, stacklevel=2)
-        _warned_summarize_ledgers = True
-    return CommReport.from_ledgers(ledgers, backend=backend,
-                                   algo=algo).to_dict()
 
 
 def speedup_table(curves: list[ScalingCurve]) -> str:

@@ -7,8 +7,9 @@
 - :mod:`repro.sparse.pattern` — symbolic structure tools (A^T A pattern,
   column counts).
 - :mod:`repro.sparse.fillin` — fill-in tracking across Schur complements.
+- :mod:`repro.sparse.spgemm` — reusable SpGEMM buffers and exact flop counts.
 - :mod:`repro.sparse.window` — fused index-window permute/split over the
-  running Schur complement (the optimized solver hot path).
+  running Schur complement (the solver hot path).
 """
 
 from .utils import (ensure_csc, ensure_csr, drop_explicit_zeros, density,
@@ -26,7 +27,7 @@ from .ops import (
 from .thresholding import (drop_small, drop_sorted_budget, DropResult,
                            apply_threshold_mask, threshold_mask)
 from .pattern import ata_pattern_degrees, column_counts
-from .spgemm import SpGEMMWorkspace, spgemm, spgemm_flops
+from .spgemm import SpGEMMWorkspace, spgemm_flops
 from .fillin import FillInTracker
 from .window import (csr_row_window, dense_rows_to_csr,
                      extract_leading_columns, gather_positions,
@@ -56,7 +57,6 @@ __all__ = [
     "ata_pattern_degrees",
     "column_counts",
     "SpGEMMWorkspace",
-    "spgemm",
     "spgemm_flops",
     "FillInTracker",
     "csr_row_window",

@@ -1,66 +1,42 @@
-"""Sparse x sparse matrix multiply, from scratch (vectorized Gustavson).
+"""Reusable SpGEMM buffers and exact flop accounting.
 
 ``C = A @ B`` is the kernel behind every Schur-complement update
-(``F @ A12`` in Algorithm 2 line 12).  scipy's C implementation is the
-default engine; this module provides a self-contained numpy implementation
-used as an alternative engine and as the reference for flop accounting:
+(``F @ A12`` in Algorithm 2 line 12).  The multiply itself dispatches
+through :mod:`repro.kernels` (``spgemm_csr`` / ``schur_update_csc``):
+scipy's C implementation on the pure tier, the row-merge C kernel on the
+native tier.  This module holds what both sides share:
 
-The classical Gustavson row-by-row formulation is re-expressed as a fully
-vectorized COO expansion: every stored entry ``B[k, j]`` contributes
-``B[k, j] * A[:, k]`` to column ``j`` of ``C``.  Expanding all
-contributions at once yields arrays of exactly ``flops/2`` triples, which a
-single coalescing pass (stable sort on linearized keys + segmented
-``add.reduceat``) reduces to ``C``.  Cost is ``O(flops)`` with numpy-level
-constants — no Python-level loops over nonzeros.
-
-The expansion and coalescing buffers dominate the allocation cost when the
-kernel runs once per block iteration (the fixed-precision loop), so they
-can be preallocated once and reused through a :class:`SpGEMMWorkspace`:
-
->>> ws = SpGEMMWorkspace()
->>> for _ in range(iterations):            # doctest: +SKIP
-...     C = spgemm(F, A12, workspace=ws)   # no per-iteration allocation
-
-Semantics match scipy's ``A @ B``: the result dtype is
-``np.result_type(A.dtype, B.dtype)`` (no silent float64 promotion) and
-entries that cancel to exactly zero during coalescing are dropped.
+- :class:`SpGEMMWorkspace` — scratch buffers of the native tier's
+  row-merge SpGEMM, gram and parallel kernels, grown geometrically and
+  reused across block iterations so the fixed-precision loop allocates
+  only on its highest-watermark iteration;
+- :func:`spgemm_flops` — the exact multiply-add count the performance
+  model charges for a Schur complement.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
-from .. import perf
 from .utils import ensure_csc
 
 
 class SpGEMMWorkspace:
-    """Reusable buffers for the expansion + coalescing passes of
-    :func:`spgemm`.
+    """Reusable scratch buffers of the native-tier sparse kernels.
 
-    The workspace owns flat arrays sized by the *upper bound* of the
-    expansion (``flops / 2`` product terms, known exactly from the operand
-    patterns before any numeric work).  ``reserve`` grows them
-    geometrically and never shrinks, so a driver loop that calls
-    :func:`spgemm` with the same workspace allocates only on the
+    Every buffer grows geometrically and never shrinks, so a driver loop
+    that passes the same workspace allocates only on the
     highest-watermark iteration.
 
     Attributes
     ----------
-    capacity:
-        Current number of product slots the buffers can hold.
     grown:
-        How many times the buffers were (re)allocated — a diagnostic for
+        How many times a buffer was (re)allocated — a diagnostic for
         verifying reuse in tests and benchmarks.
     """
 
-    def __init__(self, capacity: int = 0):
-        self.capacity = 0
+    def __init__(self):
         self.grown = 0
-        self._i64: list[np.ndarray] = []
-        self._val: list[np.ndarray] = []
-        self._val_dtype: np.dtype | None = None
         # native-tier csr_matmat accumulator buffers (see matmat_buffers)
         self._mm_acc_n = 0
         self._mm_mark: np.ndarray | None = None
@@ -75,8 +51,6 @@ class SpGEMMWorkspace:
         self._gr_nnz = 0
         self._gr_ind: np.ndarray | None = None
         self._gr_val: np.ndarray | None = None
-        if capacity > 0:
-            self.reserve(capacity, np.dtype(np.float64))
 
     @staticmethod
     def _grow_cap(current: int, needed: int) -> int:
@@ -87,27 +61,6 @@ class SpGEMMWorkspace:
         while cap < needed:
             cap *= 2
         return cap
-
-    def reserve(self, total: int, dtype: np.dtype) -> None:
-        """Ensure capacity for ``total`` product terms of value ``dtype``."""
-        if total > self.capacity:
-            new_cap = self._grow_cap(self.capacity, total)
-            # slot / gather / key / scratch buffers (int64 covers any index)
-            self._i64 = [np.empty(new_cap, dtype=np.int64) for _ in range(4)]
-            self.capacity = new_cap
-            self._val = []  # value buffers must match the new capacity
-        if not self._val or self._val_dtype != dtype:
-            self._val = [np.empty(self.capacity, dtype=dtype)
-                         for _ in range(2)]
-            self._val_dtype = np.dtype(dtype)
-            self.grown += 1
-
-    def buffers(self, total: int, dtype: np.dtype):
-        """Views of length ``total`` over the reserved buffers:
-        ``(slot, gather, key, scratch, vals, vals2)``."""
-        self.reserve(total, dtype)
-        b0, b1, b2, b3 = (buf[:total] for buf in self._i64)
-        return b0, b1, b2, b3, self._val[0][:total], self._val[1][:total]
 
     def matmat_buffers(self, n: int, threads: int = 1):
         """Accumulator buffers for the native-tier row-merge SpGEMM
@@ -157,143 +110,6 @@ class SpGEMMWorkspace:
             self._gr_val = np.empty(self._gr_nnz, dtype=np.float64)
             self.grown += 1
         return (self._gr_ptr, self._gr_ind, self._gr_val)
-
-
-def _expand(A: sp.csc_matrix, B: sp.csc_matrix, workspace: SpGEMMWorkspace
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """COO expansion of all product terms of ``A @ B``.
-
-    Returns ``(keys, vals, lengths, total)`` where ``keys`` linearizes
-    ``(col, row)`` of each product term (column-major order so the
-    coalesced result is CSC-ready) and ``total = flops / 2``.
-    """
-    m = A.shape[0]
-    n = B.shape[1]
-    a_colnnz = np.diff(A.indptr)
-    b_rows = B.indices                       # the k of each B entry
-    lengths = a_colnnz[b_rows]               # products per B entry
-    total = int(lengths.sum())
-    if total == 0:
-        return (np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.result_type(A.dtype, B.dtype)),
-                lengths, 0)
-
-    dtype = np.result_type(A.dtype, B.dtype)
-    slot, gather, key, scratch, vals, vals2 = workspace.buffers(total, dtype)
-
-    # slot[t] = index of the B entry that produced product term t
-    # (the classic repeat-via-cumsum trick, written into reused buffers)
-    slot[:] = 0
-    ends = np.cumsum(lengths)
-    nz = np.flatnonzero(lengths)
-    if nz.size:
-        first = nz[0]
-        # mark the start of each B entry's segment (skip empty segments by
-        # accumulating their marks onto the next nonempty one)
-        np.add.at(slot, ends[nz[:-1]] if nz.size > 1 else np.empty(0, np.intp),
-                  nz[1:] - nz[:-1] if nz.size > 1 else np.empty(0, np.int64))
-        slot[0] += first
-        np.cumsum(slot, out=slot)
-
-    # gather[t] = position inside A of the A entry of product term t
-    starts = A.indptr[b_rows].astype(np.int64, copy=False)
-    np.take(starts, slot, out=gather)
-    scratch[:] = np.arange(total, dtype=np.int64)
-    seg_start = ends - lengths
-    np.subtract(scratch, np.take(seg_start.astype(np.int64), slot),
-                out=scratch)
-    np.add(gather, scratch, out=gather)
-
-    # rows/cols of each product term, linearized into one sort key
-    b_cols = np.repeat(np.arange(n), np.diff(B.indptr))
-    np.take(b_cols.astype(np.int64), slot, out=key)
-    np.multiply(key, m, out=key)
-    np.add(key, A.indices[gather], out=key)
-
-    # vals[t] = A_entry * B_entry
-    np.take(A.data.astype(dtype, copy=False), gather, out=vals)
-    np.take(B.data.astype(dtype, copy=False), slot, out=vals2)
-    np.multiply(vals, vals2, out=vals)
-    return key, vals, lengths, total
-
-
-def spgemm(A, B, *, return_flops: bool = False,
-           workspace: SpGEMMWorkspace | None = None):
-    """Multiply two sparse matrices with the vectorized-Gustavson engine.
-
-    Parameters
-    ----------
-    A, B:
-        Sparse (or dense, coerced) matrices with compatible shapes.
-    return_flops:
-        Also return the exact multiply-add count ``2 * sum_k
-        nnz(A[:, k]) * nnz(B[k, :])`` (the quantity the performance model
-        charges for Schur complements).
-    workspace:
-        A :class:`SpGEMMWorkspace` whose buffers are reused for the
-        expansion and coalescing passes.  Passing the same workspace
-        across iterations eliminates the per-call allocation of the
-        ``O(flops)`` intermediate arrays.  The result is identical (same
-        values, same flop count) with or without a workspace.
-
-    Returns
-    -------
-    C (csc_matrix), or ``(C, flops)``.  ``C.dtype`` is
-    ``np.result_type(A.dtype, B.dtype)`` — the input dtype is preserved
-    instead of being promoted to float64.  Entries that cancel to exact
-    zero during coalescing are dropped, matching scipy's ``A @ B``.
-    """
-    A = ensure_csc(A, dtype=None)
-    B = ensure_csc(B, dtype=None)
-    m, ka = A.shape
-    kb, n = B.shape
-    if ka != kb:
-        raise ValueError(f"dimension mismatch: {A.shape} @ {B.shape}")
-    dtype = np.result_type(A.dtype, B.dtype)
-
-    if A.nnz == 0 or B.nnz == 0:
-        C = sp.csc_matrix((m, n), dtype=dtype)
-        return (C, 0.0) if return_flops else C
-
-    if workspace is None:
-        workspace = SpGEMMWorkspace()
-
-    with perf.timer("spgemm"):
-        key, vals, lengths, total = _expand(A, B, workspace)
-        flops = 2.0 * total
-        if total == 0:
-            C = sp.csc_matrix((m, n), dtype=dtype)
-            perf.add_flops("spgemm", flops)
-            return (C, flops) if return_flops else C
-
-        # coalesce: stable sort on the linearized (col, row) key, then one
-        # segmented sum per distinct key
-        order = np.argsort(key, kind="stable")
-        key_sorted = np.take(key, order)
-        val_sorted = np.take(vals, order)
-        boundary = np.empty(key_sorted.size, dtype=bool)
-        boundary[0] = True
-        np.not_equal(key_sorted[1:], key_sorted[:-1], out=boundary[1:])
-        seg_starts = np.flatnonzero(boundary)
-        coalesced = np.add.reduceat(val_sorted, seg_starts)
-        uniq = key_sorted[seg_starts]
-
-        # drop explicit zeros produced by cancellation (scipy semantics)
-        keep = coalesced != 0
-        if not np.all(keep):
-            coalesced = coalesced[keep]
-            uniq = uniq[keep]
-
-        idx_dtype = np.int32 if uniq.size < 2**31 and m < 2**31 else np.int64
-        rows = (uniq % m).astype(idx_dtype)
-        cols = uniq // m
-        indptr = np.zeros(n + 1, dtype=idx_dtype)
-        np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
-        C = sp.csc_matrix((np.ascontiguousarray(coalesced), rows, indptr),
-                          shape=(m, n))
-        C.has_sorted_indices = True  # keys were sorted column-major
-        perf.add_flops("spgemm", flops)
-    return (C, flops) if return_flops else C
 
 
 def spgemm_flops(A, B) -> float:

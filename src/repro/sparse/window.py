@@ -1,9 +1,10 @@
 """Index-window views over the running Schur complement.
 
-Every LU_CRTP/ILUT_CRTP iteration the reference path materializes the fully
-permuted active matrix twice (``permute_cols`` then ``permute_rows``) and
-then converts formats four more times inside ``split_2x2`` — roughly eight
-``O(nnz)`` passes to produce four blocks whose combined size *is* ``nnz``.
+Spelled with scipy, every LU_CRTP/ILUT_CRTP iteration materializes the
+fully permuted active matrix twice (``permute_cols`` then
+``permute_rows``) and then converts formats four more times inside
+``split_2x2`` — roughly eight ``O(nnz)`` passes to produce four blocks
+whose combined size *is* ``nnz``.
 
 This module replaces that with an index-window formulation: the active
 matrix is kept untouched in CSC form and the column/row permutations are
@@ -16,9 +17,9 @@ routes it directly to its destination block and emits
 - ``A22`` canonical CSR ``(m-k, n-k)`` (entrywise subtraction target),
 
 in two gather passes plus one stable radix sort per window.  The
-blocks are *bitwise identical* in values and canonical ordering to the ones
-the reference path produces, which keeps pivot selection and the error
-indicator trajectory exactly reproducible — verified by the
+blocks are *bitwise identical* in values and canonical ordering to the
+``permute`` + ``split_2x2`` composition, which keeps pivot selection and
+the error indicator trajectory exactly reproducible — verified by the
 ``tests/test_opt_parity.py`` suite.
 """
 
@@ -98,7 +99,7 @@ def permuted_blocks(active: sp.csc_matrix, col_perm: np.ndarray,
     row_perm), k)`` but with ``A11`` returned dense, ``A22`` returned as
     canonical *CSR*, and each entry touched once.  ``active`` must be
     canonical CSC (sorted indices); the result blocks carry identical values
-    in identical canonical order to the reference path.
+    in identical canonical order to that composition.
 
     Each window (left: selected columns, right: the rest) is processed with
     a single stable radix sort on the permuted row index: rows below ``k``
@@ -150,9 +151,9 @@ def dense_rows_to_csr(Fsub: np.ndarray, rows: np.ndarray, m: int,
     """Scatter dense rows into a canonical ``(m, k)`` CSR matrix.
 
     ``Fsub[i]`` becomes row ``rows[i]``; entries with magnitude below
-    ``drop_below`` are pruned (round-off debris from the triangular solve,
-    matching the reference path's post-filter).  Replaces the
-    ``lil_matrix`` assembly that dominated ``_compute_F``.
+    ``drop_below`` are pruned (round-off debris from the triangular solve).
+    Equal to assigning the rows into a ``lil_matrix`` and converting to
+    CSR, without the per-row Python overhead of that route.
     """
     k = Fsub.shape[1]
     keep = np.abs(Fsub) >= drop_below

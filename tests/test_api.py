@@ -1,12 +1,10 @@
 """Tests for the unified solver API: registry, SolverConfig, result schema."""
 
 import json
-import warnings
 
 import numpy as np
 import pytest
 
-import repro.api.registry as registry_mod
 from repro.api import (
     SOLVERS,
     SolverConfig,
@@ -99,26 +97,11 @@ def test_spec_metadata():
     assert set(SOLVERS) == {"randqb", "ubv", "lu", "ilut"}
 
 
-# -- deprecation shim -------------------------------------------------------
-
-def test_legacy_kwargs_warn_once():
-    registry_mod._warned_kwargs_shim = False
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        s1 = make_solver("lu", k=4, tol=1e-1, l_formula="auto")
-        s2 = make_solver("randqb", k=4, tol=1e-1, power=2)
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1  # warns once per process
-    assert s1.k == 4 and s1.l_formula == "auto"
-    assert s2.power == 2
-
-
 # -- SolverConfig -----------------------------------------------------------
 
 def test_config_roundtrip():
     cfg = SolverConfig(k=8, tol=1e-3, power=2, seed=5,
-                       estimated_iterations="auto", optimized=False,
+                       estimated_iterations="auto",
                        checkpointing=True, max_rank=64,
                        extras={"mu": 1e-4})
     d = cfg.to_dict()
@@ -145,14 +128,26 @@ def test_config_validation(bad):
 
 
 def test_config_from_dict_rejects_unknown():
-    with pytest.raises(ValueError, match="unknown SolverConfig"):
-        SolverConfig.from_dict({"block_size": 8})
+    # a retired field ("optimized") is refused, not silently ignored
+    for unknown in ({"block_size": 8}, {"optimized": True}):
+        with pytest.raises(ValueError, match="unknown SolverConfig"):
+            SolverConfig.from_dict(unknown)
+
+
+def test_default_cache_key_pinned():
+    """Cache entries written by earlier versions stay addressable: the
+    default key's exact text and the disk-tier schema tag are part of the
+    durable cache contract."""
+    from repro.service.cache import DISK_CACHE_SCHEMA
+    assert SolverConfig().cache_key() == (
+        '{"estimated_iterations":10,"extras":{},"k":32,"kernel_tier":"auto",'
+        '"max_rank":null,"power":1,"seed":0}')
+    assert DISK_CACHE_SCHEMA == "repro.cache/v1"
 
 
 def test_cache_key_excludes_non_identity_fields():
     base = SolverConfig(k=8, tol=1e-2)
     assert base.cache_key() == base.replace(tol=1e-5).cache_key()
-    assert base.cache_key() == base.replace(optimized=False).cache_key()
     assert base.cache_key() == base.replace(checkpointing=True).cache_key()
     assert base.cache_key() != base.replace(k=16).cache_key()
     assert base.cache_key() != base.replace(seed=1).cache_key()

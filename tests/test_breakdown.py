@@ -21,7 +21,7 @@ def test_compute_f_raises_on_singular_pivot():
     """The solve kernel itself: singular A11 with inconsistent A21."""
     solver = LU_CRTP(k=4, tol=1e-2)
     A11d = np.zeros((4, 4))
-    A21 = sp.csc_matrix(np.ones((6, 4)))
+    A21 = sp.csr_matrix(np.ones((6, 4)))
     Qk = np.linalg.qr(np.random.default_rng(0).standard_normal((10, 4)))[0]
     with pytest.raises(RankDeficiencyBreakdown):
         solver._compute_F(A11d, A21, Qk, np.arange(10), 4, i=2)
@@ -30,7 +30,7 @@ def test_compute_f_raises_on_singular_pivot():
 def test_compute_f_orthogonal_raises_on_singular_q11():
     solver = LU_CRTP(k=3, tol=1e-2, l_formula="orthogonal")
     Qk = np.zeros((8, 3))  # Qbar11 singular
-    A21 = sp.csc_matrix(np.ones((5, 3)))
+    A21 = sp.csr_matrix(np.ones((5, 3)))
     with pytest.raises(RankDeficiencyBreakdown):
         solver._compute_F(np.eye(3), A21, Qk, np.arange(8), 3, i=1)
 

@@ -98,10 +98,8 @@ def test_suite_m2_analogue_ilut_speedup():
     assert il.converged
     ratio = lu.factor_nnz() / il.factor_nnz()
     assert ratio > 1.5
-    # thresholding pays for itself; 1.2x slack absorbs wall-clock noise
-    # when the suite runs under load (the work reduction itself is asserted
-    # through the nnz ratio above and the Schur-flop trace below)
-    assert il.elapsed < lu.elapsed * 1.2
+    # thresholding pays for itself: asserted through counted work (the nnz
+    # ratio above and the Schur-flop trace below), not wall-clock time
     lu_flops = sum(r.extra["trace"]["schur_flops"] for r in lu.history)
     il_flops = sum(r.extra["trace"]["schur_flops"] for r in il.history)
     assert il_flops < lu_flops

@@ -175,15 +175,6 @@ def test_identity_matrix():
     assert res.rank >= 18 or res.converged
 
 
-def test_native_schur_engine_identical(small_sparse):
-    """The from-scratch SpGEMM engine reproduces scipy's Schur exactly."""
-    base = lu_crtp(small_sparse, k=8, tol=1e-2)
-    nat = lu_crtp(small_sparse, k=8, tol=1e-2, schur_engine="native")
-    assert nat.rank == base.rank
-    np.testing.assert_allclose(nat.L.toarray(), base.L.toarray(), atol=1e-12)
-    np.testing.assert_allclose(nat.U.toarray(), base.U.toarray(), atol=1e-12)
-
-
 def test_column_discarding_preserves_quality(small_sparse):
     """Cayrols-style candidate discarding changes only pivot-search work:
     the result still converges to the tolerance."""

@@ -1,10 +1,16 @@
-"""Bitwise parity of every optimized hot-path route against its reference.
+"""Bitwise parity of the solver hot paths against their plain spellings.
 
-The optimization layer (index-window blocks, symbolic-free matmul, raw
+The hot paths (index-window blocks, symbolic-free matmul, raw
 constructors, fused thresholding, batched sketching, colamd argmin scan)
-promises *identical values in identical canonical order* — not merely
-"close".  These tests pin that contract: optimized and reference routes
-must agree exactly (``== 0.0`` max difference, ``array_equal`` pivots,
+promise *identical values in identical canonical order* — not merely
+"close".  These tests pin that contract at two levels:
+
+- kernel level: each fast kernel equals its scipy/numpy composition;
+- solver level: LU_CRTP and ILUT_CRTP equal the same driver loop running
+  the test-side :class:`_ScipyIteration`, and RandQB_EI with batched
+  sketches equals RandQB_EI drawing one sketch per iteration.
+
+Agreement is exact (``== 0.0`` max difference, ``array_equal`` pivots,
 ``==`` indicator trajectories), so any future drift is a hard failure.
 """
 
@@ -13,12 +19,15 @@ import pytest
 import scipy.sparse as sp
 
 from repro.core.ilut_crtp import ILUT_CRTP
-from repro.core.lu_crtp import LU_CRTP
+from repro.core.lu_crtp import IterationArtifacts, LU_CRTP
 from repro.core.randqb_ei import RandQB_EI
-from repro.sparse.ops import csr_matmul_nosym, permute, split_2x2
+from repro.linalg.cholqr import cholqr2
+from repro.pivoting.tournament import qr_tp_rows
+from repro.sparse.ops import (csr_matmul_nosym, permute, permute_cols,
+                              permute_rows, split_2x2)
 from repro.sparse.thresholding import (apply_threshold_mask, drop_small,
                                        threshold_mask)
-from repro.sparse.utils import raw_csc, raw_csr
+from repro.sparse.utils import drop_explicit_zeros, raw_csc, raw_csr
 from repro.sparse.window import (csr_rows_to_dense, dense_rows_to_csr,
                                  extract_leading_columns, permuted_blocks)
 
@@ -27,6 +36,46 @@ def _m2_analogue(n, seed=1, density=0.02):
     rng = np.random.default_rng(seed)
     A = sp.random(n, n, density=density, random_state=rng, format="csc")
     return (A + sp.diags(np.linspace(1, 0.01, n), format="csc")).tocsc()
+
+
+class _ScipyIteration:
+    """Lines 5-12 of Algorithm 2 in plain scipy: materialized permutations,
+    a ``lil_matrix`` F and scipy ``@`` for the Schur update (``l_formula``
+    ``"schur"`` only).  Mixed in front of a solver class it replaces the
+    index-window iteration and shares the rest of the driver loop."""
+
+    def _iteration(self, active, k_i, i, r11_first):
+        col_tp = self._column_tournament(active, k_i)
+        Apc = permute_cols(active, col_tp.perm)
+        Qk, _, _ = cholqr2(Apc[:, :k_i], tier="pure")
+        row_tp = qr_tp_rows(Qk, k_i, tree=self.tree, tier="pure")
+        A11, A12, A21, A22 = split_2x2(permute_rows(Apc, row_tp.perm), k_i)
+        A21r = A21.tocsr()
+        rows = np.flatnonzero(np.diff(A21r.indptr))
+        F = sp.lil_matrix(A21.shape)
+        if rows.size:
+            # solve X A11 = A21[rows]  <=>  A11^T X^T = A21[rows]^T
+            F[rows] = np.linalg.solve(A11.toarray().T,
+                                      A21r[rows].toarray().T).T
+        F = F.tocsr()
+        F.data[np.abs(F.data) < 1e-300] = 0.0
+        F.eliminate_zeros()
+        schur = (A22 - F @ A12).tocsc()
+        drop_explicit_zeros(schur, tol=self.zero_drop_tol)
+        return IterationArtifacts(
+            Lk=sp.vstack([sp.identity(k_i, format="csc"), F], format="csc"),
+            Uk=sp.hstack([A11, A12], format="csr"), schur=schur,
+            row_perm_local=row_tp.perm, col_perm_local=col_tp.perm,
+            r11_diag=col_tp.r11_diag, tournament_stats=col_tp.stats,
+            stats={})
+
+
+class _RefLU(_ScipyIteration, LU_CRTP):
+    pass
+
+
+class _RefILUT(_ScipyIteration, ILUT_CRTP):
+    pass
 
 
 def _assert_same_result(r1, r2):
@@ -43,47 +92,53 @@ def _assert_same_result(r1, r2):
 # -- end-to-end solver parity ------------------------------------------------
 
 @pytest.mark.parametrize("n,k", [(120, 8), (250, 16)])
-def test_lu_crtp_optimized_bitwise_parity(n, k):
+def test_lu_crtp_matches_scipy_iteration(n, k):
     A = _m2_analogue(n)
     common = dict(k=k, tol=1e-6, max_rank=min(4 * k, n),
                   raise_on_failure=False)
-    _assert_same_result(LU_CRTP(optimized=False, **common).solve(A),
-                        LU_CRTP(optimized=True, **common).solve(A))
+    _assert_same_result(_RefLU(kernel_tier="pure", **common).solve(A),
+                        LU_CRTP(**common).solve(A))
 
 
 @pytest.mark.parametrize("n,k", [(120, 8), (250, 16)])
-def test_ilut_crtp_optimized_bitwise_parity(n, k):
+def test_ilut_crtp_matches_scipy_iteration(n, k):
     A = _m2_analogue(n)
     common = dict(k=k, tol=1e-6, max_rank=min(4 * k, n),
                   raise_on_failure=False, estimated_iterations=6)
-    r_ref = ILUT_CRTP(optimized=False, **common).solve(A)
-    r_opt = ILUT_CRTP(optimized=True, **common).solve(A)
+    r_ref = _RefILUT(kernel_tier="pure", **common).solve(A)
+    r_opt = ILUT_CRTP(**common).solve(A)
     _assert_same_result(r_ref, r_opt)
 
 
 def test_ilut_crtp_parity_with_active_thresholding():
     """A loose tolerance makes mu large enough that entries really drop,
-    exercising the fused mask-then-apply route against drop_small."""
+    so the Schur complements both iterations see carry the drops."""
     A = _m2_analogue(200, density=0.05)
     common = dict(k=16, tol=5e-2, max_rank=128, raise_on_failure=False,
                   estimated_iterations=4)
-    r_ref = ILUT_CRTP(optimized=False, **common).solve(A)
-    r_opt = ILUT_CRTP(optimized=True, **common).solve(A)
+    r_ref = _RefILUT(kernel_tier="pure", **common).solve(A)
+    r_opt = ILUT_CRTP(**common).solve(A)
     _assert_same_result(r_ref, r_opt)
     assert r_opt.threshold > 0
+    assert sum(r.dropped_nnz for r in r_opt.history) > 0
 
 
 @pytest.mark.parametrize("power", [0, 1])
-def test_randqb_optimized_bitwise_parity(power):
+def test_randqb_batched_sketch_bitwise_parity(power):
+    """Batched Gaussian draws reproduce Algorithm 1's per-iteration stream:
+    a checkpointed run (one draw per iteration) equals a plain run."""
     A = _m2_analogue(200, density=0.05)
     common = dict(k=16, tol=1e-4, power=power, seed=7, max_rank=96,
                   raise_on_failure=False)
-    r_ref = RandQB_EI(optimized=False, **common).solve(A)
-    r_opt = RandQB_EI(optimized=True, **common).solve(A)
-    assert r_ref.rank == r_opt.rank
-    assert abs(r_ref.Q - r_opt.Q).max() == 0.0
-    assert abs(r_ref.B - r_opt.B).max() == 0.0
-    for a, b in zip(r_ref.history, r_opt.history):
+    seen = []
+    r_step = RandQB_EI(checkpoint_callback=seen.append, **common).solve(A)
+    r_batch = RandQB_EI(**common).solve(A)
+    assert seen, "checkpoint callback never fired"
+    assert r_step.rank == r_batch.rank
+    assert abs(r_step.Q - r_batch.Q).max() == 0.0
+    assert abs(r_step.B - r_batch.B).max() == 0.0
+    assert len(r_step.history) == len(r_batch.history)
+    for a, b in zip(r_step.history, r_batch.history):
         assert a.indicator == b.indicator
 
 
@@ -194,16 +249,16 @@ def test_colamd_scan_and_heap_agree():
         assert np.array_equal(p_scan, p_heap)
 
 
-def test_randqb_checkpointing_disables_batching_but_stays_exact():
-    """Checkpointed runs must not batch (RNG state capture) yet still
-    reproduce the reference trajectory exactly."""
+def test_randqb_checkpointing_draws_one_sketch_per_iteration():
+    """Checkpointed runs must not batch: each captured RNG state is the
+    state after exactly ``iteration`` block draws, so a resume continues
+    the same Gaussian stream."""
     A = _m2_analogue(150, density=0.05)
     seen = []
-    common = dict(k=8, tol=1e-4, seed=3, max_rank=64,
-                  raise_on_failure=False)
-    r_ck = RandQB_EI(optimized=True, checkpoint_callback=seen.append,
-                     **common).solve(A)
-    r_ref = RandQB_EI(optimized=False, **common).solve(A)
-    assert seen, "checkpoint callback never fired"
-    assert abs(r_ck.Q - r_ref.Q).max() == 0.0
-    assert abs(r_ck.B - r_ref.B).max() == 0.0
+    RandQB_EI(k=8, tol=1e-4, seed=3, max_rank=64, raise_on_failure=False,
+              checkpoint_callback=seen.append).solve(A)
+    assert len(seen) > 1
+    rng = np.random.default_rng(3)
+    for state in seen:
+        rng.standard_normal((A.shape[1], 8))
+        assert state["rng_state"] == rng.bit_generator.state

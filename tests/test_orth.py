@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.linalg.orth import orth, reorthogonalize
+from repro.linalg.orth import orth, reorth_workspace, reorthogonalize
 
 
 def orthonormality_defect(Q):
@@ -68,3 +68,19 @@ def test_reorthogonalize_two_passes_tighter(rng):
         + 1e-10 * rng.standard_normal((60, 5))
     Q2 = reorthogonalize(Yk, Qprev, passes=2)
     assert np.linalg.norm(Qprev.T @ Q2) < 1e-8
+
+
+@pytest.mark.parametrize("passes", [1, 2])
+def test_reorthogonalize_workspace_matches_allocating(rng, passes):
+    """The in-place route through a preallocated workspace runs the same
+    BLAS products in the same order as the allocating route, so the bases
+    are bitwise equal — also for a block narrower than the workspace."""
+    m, k = 50, 6
+    Qprev = orth(rng.standard_normal((m, 12)))
+    work = reorth_workspace(m, k)
+    for width in (k, k - 2):
+        Yk = rng.standard_normal((m, width)) \
+            + Qprev @ rng.standard_normal((12, width))
+        ref = reorthogonalize(Yk.copy(), Qprev, passes=passes)
+        got = reorthogonalize(Yk.copy(), Qprev, passes=passes, work=work)
+        assert np.array_equal(ref, got)

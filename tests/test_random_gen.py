@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from repro.linalg.random_gen import (
     SketchKind,
     gaussian,
+    gaussian_batch,
     make_sketch,
     rademacher,
     sparse_sign,
@@ -44,6 +45,19 @@ def test_make_sketch_dispatch(rng):
         assert Om.shape == (30, 5)
     Om = make_sketch("gaussian", 10, 2, rng)
     assert Om.shape == (10, 2)
+
+
+def test_gaussian_batch_matches_sequential_draws():
+    """One batched draw equals ``b`` successive Gaussian sketches bitwise
+    and leaves the generator where the sequential draws leave it."""
+    n, k, b = 37, 5, 4
+    rng_batch, rng_seq = np.random.default_rng(11), np.random.default_rng(11)
+    batch = gaussian_batch(n, k, b, rng_batch)
+    seq = [make_sketch(SketchKind.GAUSSIAN, n, k, rng_seq) for _ in range(b)]
+    assert batch.shape == (b, n, k)
+    for j in range(b):
+        assert np.array_equal(batch[j], seq[j])
+    assert rng_batch.bit_generator.state == rng_seq.bit_generator.state
 
 
 def test_make_sketch_unknown(rng):

@@ -1,11 +1,9 @@
-"""Tests for repro.sparse.spgemm (from-scratch sparse multiply)."""
+"""Tests for repro.sparse.spgemm (exact SpGEMM flop accounting)."""
 
 import numpy as np
-import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
 
-from repro.sparse.spgemm import SpGEMMWorkspace, spgemm, spgemm_flops
+from repro.sparse.spgemm import spgemm_flops
 
 
 def rand_sparse(m, n, density, seed):
@@ -14,164 +12,13 @@ def rand_sparse(m, n, density, seed):
                      data_rvs=rng.standard_normal).tocsc()
 
 
-def test_matches_scipy(small_sparse):
-    B = rand_sparse(60, 25, 0.2, 1)
-    C = spgemm(small_sparse, B)
-    ref = (small_sparse @ B).toarray()
-    np.testing.assert_allclose(C.toarray(), ref, atol=1e-12)
-
-
-def test_rectangular_chain():
-    A = rand_sparse(7, 13, 0.4, 2)
-    B = rand_sparse(13, 5, 0.4, 3)
-    np.testing.assert_allclose(spgemm(A, B).toarray(),
-                               (A @ B).toarray(), atol=1e-12)
-
-
-def test_dimension_mismatch():
-    with pytest.raises(ValueError):
-        spgemm(sp.identity(3), sp.identity(4))
-
-
-def test_empty_operands():
-    A = sp.csc_matrix((5, 4))
-    B = rand_sparse(4, 3, 0.5, 4)
-    assert spgemm(A, B).nnz == 0
-    assert spgemm(B.T, A.T.tocsc()).nnz == 0
-
-
-def test_identity():
-    A = rand_sparse(9, 9, 0.3, 5)
-    np.testing.assert_allclose(spgemm(sp.identity(9, format="csc"), A)
-                               .toarray(), A.toarray(), atol=1e-14)
-
-
 def test_flops_reporting():
     A = rand_sparse(20, 15, 0.3, 6)
     B = rand_sparse(15, 10, 0.3, 7)
-    C, flops = spgemm(A, B, return_flops=True)
     # exact count: 2 * sum_k nnz(A[:,k]) * nnz(B[k,:])
     a_colnnz = np.diff(A.indptr)
     b_rownnz = np.bincount(B.tocsc().indices, minlength=15)
     expected = 2.0 * np.dot(a_colnnz, b_rownnz)
-    assert flops == expected
     assert spgemm_flops(A, B) == expected
-
-
-def test_cancellation_pruned():
-    A = sp.csc_matrix(np.array([[1.0, -1.0]]))
-    B = sp.csc_matrix(np.array([[1.0], [1.0]]))
-    C = spgemm(A, B)
-    assert C.nnz == 0  # 1*1 + (-1)*1 cancels and is eliminated
-
-
-@given(st.integers(0, 2 ** 16), st.floats(0.05, 0.5), st.floats(0.05, 0.5))
-@settings(max_examples=25, deadline=None)
-def test_property_matches_scipy(seed, da, db):
-    rng = np.random.default_rng(seed)
-    m, k, n = rng.integers(1, 20, size=3)
-    A = sp.random(m, k, density=da, random_state=rng,
-                  data_rvs=rng.standard_normal).tocsc()
-    B = sp.random(k, n, density=db, random_state=rng,
-                  data_rvs=rng.standard_normal).tocsc()
-    np.testing.assert_allclose(spgemm(A, B).toarray(),
-                               (A @ B).toarray(), atol=1e-10)
-
-
-def test_schur_engine_integration(small_sparse):
-    """spgemm slots into a Schur-complement computation identically."""
-    A11 = small_sparse[:8, :8].toarray() + 5 * np.eye(8)
-    A12 = small_sparse[:8, 8:].tocsc()
-    A21 = small_sparse[8:, :8].tocsc()
-    A22 = small_sparse[8:, 8:].tocsc()
-    F = sp.csc_matrix(np.linalg.solve(A11.T, A21.toarray().T).T)
-    S1 = (A22 - F @ A12).toarray()
-    S2 = (A22 - spgemm(F, A12)).toarray()
-    np.testing.assert_allclose(S1, S2, atol=1e-10)
-
-
-def test_spgemm_large_random_stress():
-    """A larger stress case keeping the vectorized gather honest."""
-    rng = np.random.default_rng(11)
-    A = sp.random(300, 200, density=0.05, random_state=rng,
-                  data_rvs=rng.standard_normal).tocsc()
-    B = sp.random(200, 250, density=0.05, random_state=rng,
-                  data_rvs=rng.standard_normal).tocsc()
-    C, flops = spgemm(A, B, return_flops=True)
-    ref = A @ B
-    assert abs(C - ref).max() < 1e-10
-    assert flops == spgemm_flops(A, B)
-
-
-# -- workspace reuse ---------------------------------------------------------
-
-def test_workspace_matches_fresh_allocation():
-    ws = SpGEMMWorkspace()
-    rng = np.random.default_rng(20)
-    for _trial in range(4):
-        m, k, n = rng.integers(10, 80, size=3)
-        A = sp.random(m, k, density=0.2, random_state=rng,
-                      data_rvs=rng.standard_normal).tocsc()
-        B = sp.random(k, n, density=0.2, random_state=rng,
-                      data_rvs=rng.standard_normal).tocsc()
-        fresh = spgemm(A, B)
-        reused = spgemm(A, B, workspace=ws)
-        assert fresh.nnz == reused.nnz
-        if fresh.nnz:
-            assert abs(fresh - reused).max() == 0.0
-
-
-def test_workspace_grows_monotonically():
-    ws = SpGEMMWorkspace()
-    rng = np.random.default_rng(21)
-    small = sp.random(10, 10, density=0.3, random_state=rng).tocsc()
-    spgemm(small, small, workspace=ws)
-    cap_small = ws.capacity
-    big = sp.random(200, 200, density=0.1, random_state=rng).tocsc()
-    spgemm(big, big, workspace=ws)
-    cap_big = ws.capacity
-    assert cap_big >= cap_small
-    # shrinking back down must not shrink the buffers
-    spgemm(small, small, workspace=ws)
-    assert ws.capacity == cap_big
-
-
-def test_workspace_flops_and_results_stable_across_reuse():
-    """Reusing buffers (possibly dirty from a prior product) never leaks
-    stale values or miscounts flops."""
-    ws = SpGEMMWorkspace()
-    rng = np.random.default_rng(22)
-    A = sp.random(60, 40, density=0.25, random_state=rng,
-                  data_rvs=rng.standard_normal).tocsc()
-    B = sp.random(40, 50, density=0.25, random_state=rng,
-                  data_rvs=rng.standard_normal).tocsc()
-    first, fl1 = spgemm(A, B, workspace=ws, return_flops=True)
-    second, fl2 = spgemm(A, B, workspace=ws, return_flops=True)
-    assert fl1 == fl2 == spgemm_flops(A, B)
-    assert abs(first - second).max() == 0.0
-
-
-@given(st.integers(0, 2 ** 16), st.floats(0.05, 0.5), st.floats(0.05, 0.5))
-@settings(max_examples=25, deadline=None)
-def test_property_workspace_matches_scipy(seed, da, db):
-    """Randomized ensembles through one long-lived workspace stay exact."""
-    rng = np.random.default_rng(seed)
-    m, k, n = rng.integers(1, 20, size=3)
-    A = sp.random(m, k, density=da, random_state=rng,
-                  data_rvs=rng.standard_normal).tocsc()
-    B = sp.random(k, n, density=db, random_state=rng,
-                  data_rvs=rng.standard_normal).tocsc()
-    ws = SpGEMMWorkspace()
-    C1, flops = spgemm(A, B, workspace=ws, return_flops=True)
-    C2 = spgemm(A, B, workspace=ws)  # second pass through warmed buffers
-    np.testing.assert_allclose(C1.toarray(), (A @ B).toarray(), atol=1e-10)
-    assert flops == spgemm_flops(A, B)
-    assert (C1 != C2).nnz == 0
-
-
-def test_spgemm_preserves_dtype():
-    A = sp.random(12, 12, density=0.4, format="csc",
-                  random_state=np.random.default_rng(23))
-    A32 = A.astype(np.float32)
-    C = spgemm(A32, A32)
-    assert C.dtype == np.float32
+    # format-agnostic: CSR operands count the same products
+    assert spgemm_flops(A.tocsr(), B.tocsr()) == expected

@@ -21,7 +21,7 @@ from repro.exceptions import (
 from repro.parallel.comm import _payload_bytes, run_spmd
 from repro.parallel.faults import FaultPlan, RankCrash
 from repro.parallel.machine import MachineModel
-from repro.parallel.report import CommReport, comm_volume_table
+from repro.parallel.report import CommReport
 from repro.parallel.shm import shm_segments
 from repro.parallel.spmd import spmd_lu_crtp, spmd_randqb_ei
 
@@ -146,17 +146,6 @@ def test_comm_report_renders(A120):
     assert "kernel" in txt_k
     with pytest.raises(ValueError):
         rep.table(by="rank")
-    # the legacy free function survives as a once-warning shim
-    import warnings
-
-    import repro.parallel.report as report_mod
-    report_mod._warned_comm_volume_table = False
-    with pytest.warns(DeprecationWarning, match="comm_volume_table"):
-        legacy = comm_volume_table(out["comm"])
-    assert legacy == txt
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the shim warns only once
-        assert comm_volume_table(out["comm"]) == txt
 
 
 # ---------------------------------------------------------------------------

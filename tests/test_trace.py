@@ -118,6 +118,9 @@ def test_trace_summary_matches_live_comm(A96):
     rep = CommReport.from_trace(out["trace"])
     assert rep.to_dict() == out["comm"]
     assert CommReport.from_run(out).to_dict() == out["comm"]
+    # per-rank ledgers in their dict (wire) form summarize the same way
+    assert CommReport.from_ledgers(out["ledgers"], backend="procs",
+                                   algo="flat").to_dict() == out["comm"]
 
 
 # ---------------------------------------------------------------------------
@@ -261,22 +264,6 @@ def test_config_machine_normalized_and_cache_key():
     rt = SolverConfig.from_dict(tree.to_dict())
     assert rt.machine.comm_algo == "tree"
     assert rt.cache_key() == tree.cache_key()
-
-
-def test_deprecated_summarize_ledgers_shim(A96):
-    import warnings
-
-    import repro.parallel.report as report_mod
-    from repro.parallel import summarize_ledgers
-    out = _capture(A96, 2)
-    ledgers = out["ledgers"]
-    report_mod._warned_summarize_ledgers = False
-    with pytest.warns(DeprecationWarning, match="summarize_ledgers"):
-        d = summarize_ledgers(ledgers, backend="threads", algo="flat")
-    assert d == out["comm"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # warns only once per process
-        summarize_ledgers(ledgers, backend="threads", algo="flat")
 
 
 # ---------------------------------------------------------------------------
