@@ -176,8 +176,14 @@ def bench_spgemm_parallel(quick: bool, repeats: int, native: bool) -> dict:
     """OpenMP row-parallel SpGEMM against the serial pure route (the
     per-row result is bitwise thread-count independent, so only time
     changes).  Thread count is ``min(2, cpu_count)`` — oversubscribing a
-    single-core host only measures scheduler thrash, not the kernel."""
-    n = 400 if quick else 1200
+    single-core host only measures scheduler thrash, not the kernel.
+
+    Quick mode runs the full size, with the two routes timed alternately:
+    on a shared 2-core host the two-thread kernel is near break-even with
+    pure, and at size 400 with the routes timed one after the other its
+    native/pure ratio read 0.45-0.99 across runs, under the 0.8 the gate
+    allows."""
+    n = 1200
     rng = np.random.default_rng(7)
     F = sp.random(n, 64, density=0.20, random_state=rng, format="csr")
     A12 = sp.random(64, n, density=0.30, random_state=rng, format="csr")
@@ -185,31 +191,38 @@ def bench_spgemm_parallel(quick: bool, repeats: int, native: bool) -> dict:
     A12.sort_indices()
 
     nthreads = min(2, os.cpu_count() or 1)
-    t_pure = _mintime(lambda: kernels.spgemm_csr(F, A12, tier="pure"),
-                      repeats)
-    entry = {"before_s": t_pure, "after_s": t_pure,
-             "detail": f"F({n}x64) @ A12(64x{n}); serial pure route on both "
-                       "columns, native = row-parallel kernel at "
-                       f"REPRO_KERNEL_THREADS={nthreads} (bitwise "
-                       "identical output)"}
-    if native:
-        # benches sit outside src/, so the SPMD004 encapsulation rule does
-        # not apply; the direct import is only for the OpenMP capability note
-        from repro.kernels.native import openmp_enabled
-        ws = SpGEMMWorkspace()
-        with _kernel_threads(nthreads):
-            C = kernels.spgemm_csr(F, A12, tier="native", workspace=ws)
-            ref = kernels.spgemm_csr(F, A12, tier="pure")
-            assert (np.array_equal(C.indptr, ref.indptr)
-                    and np.array_equal(C.indices, ref.indices)
-                    and np.array_equal(C.data, ref.data)), \
-                "parallel spgemm disagrees"
-            entry["detail"] += ("" if openmp_enabled()
-                                else "; OpenMP unavailable: serial native")
-            _add_native_tier(entry, _mintime(
-                lambda: kernels.spgemm_csr(F, A12, tier="native",
-                                           workspace=ws), repeats))
-    return entry
+
+    def pure():
+        return kernels.spgemm_csr(F, A12, tier="pure")
+
+    detail = (f"F({n}x64) @ A12(64x{n}); serial pure route on both "
+              "columns, native = row-parallel kernel at "
+              f"REPRO_KERNEL_THREADS={nthreads} (bitwise identical output)")
+    if not native:
+        t_pure = _mintime(pure, repeats)
+        return {"before_s": t_pure, "after_s": t_pure, "detail": detail}
+    # benches sit outside src/, so the SPMD004 encapsulation rule does not
+    # apply; the direct import is only for the OpenMP capability note
+    from repro.kernels.native import openmp_enabled
+    ws = SpGEMMWorkspace()
+
+    def parallel():
+        return kernels.spgemm_csr(F, A12, tier="native", workspace=ws)
+
+    with _kernel_threads(nthreads):
+        C, ref = parallel(), pure()
+        assert (np.array_equal(C.indptr, ref.indptr)
+                and np.array_equal(C.indices, ref.indices)
+                and np.array_equal(C.data, ref.data)), \
+            "parallel spgemm disagrees"
+        t_pure = t_native = float("inf")
+        for _ in range(repeats):   # alternate: a slow stretch hits both
+            t_pure = min(t_pure, _mintime(pure, 1))
+            t_native = min(t_native, _mintime(parallel, 1))
+    if not openmp_enabled():
+        detail += "; OpenMP unavailable: serial native"
+    return _add_native_tier(
+        {"before_s": t_pure, "after_s": t_pure, "detail": detail}, t_native)
 
 
 def bench_csr_to_csc(quick: bool, repeats: int, native: bool) -> dict:
@@ -475,7 +488,7 @@ def run(quick: bool) -> dict:
     native = kernels.native_available()
     benches = {
         "spgemm": bench_spgemm(quick, max(repeats, 3), native),
-        "spgemm_parallel": bench_spgemm_parallel(quick, max(repeats, 3),
+        "spgemm_parallel": bench_spgemm_parallel(quick, max(repeats, 15),
                                                  native),
         "csr_to_csc": bench_csr_to_csc(quick, max(repeats, 5), native),
         "permute_split": bench_permute_split(quick, max(repeats, 5), native),

@@ -24,6 +24,7 @@ import numpy as np
 
 from ..exceptions import ConvergenceError
 from ..history import ConvergenceHistory, IterationRecord
+from ..kernels.threads import one_blas_thread
 from ..linalg.norms import fro_norm
 from ..results import QBApproximation
 from .termination import check_tolerance
@@ -50,6 +51,7 @@ class AdaptiveRangeFinder:
     seed: int | None = 0
     raise_on_failure: bool = False
 
+    @one_blas_thread()
     def solve(self, A) -> QBApproximation:
         check_tolerance(self.tol, randomized=True, allow_unsafe=True)
         t0 = time.perf_counter()

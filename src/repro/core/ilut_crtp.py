@@ -28,6 +28,7 @@ import numpy as np
 from .. import perf
 from ..exceptions import ConvergenceError, RankDeficiencyBreakdown
 from ..history import ConvergenceHistory, IterationRecord
+from ..kernels.threads import one_blas_thread
 from ..linalg.norms import fro_norm
 from ..ordering.etree import colamd_preprocess
 from ..results import LUApproximation
@@ -87,6 +88,7 @@ class ILUT_CRTP(LU_CRTP):
     phi_factor: float = 1.0
     aggressive: bool = False
 
+    @one_blas_thread()
     def solve(self, A, *, resume_from=None) -> LUApproximation:
         """Run Algorithm 3 on ``A``.
 

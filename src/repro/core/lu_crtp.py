@@ -46,6 +46,7 @@ from ..sparse.window import (
 )
 from .termination import check_tolerance
 from .. import perf
+from ..kernels.threads import one_blas_thread
 
 #: Relative magnitude of |R(k,k)| vs |R(1,1)| below which the active matrix
 #: is declared numerically rank-deficient ("stop at the numerical rank", §VI-A).
@@ -176,6 +177,7 @@ class LU_CRTP:
         return None if self.recovery is None else self.recovery.log
 
     # ------------------------------------------------------------------
+    @one_blas_thread()
     def solve(self, A, *, resume_from=None) -> LUApproximation:
         """Run Algorithm 2 on ``A``.
 

@@ -19,6 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..history import ConvergenceHistory, IterationRecord
+from ..kernels.threads import one_blas_thread
 from ..linalg.norms import fro_norm
 from ..linalg.orth import orth, reorthogonalize
 from ..results import QBApproximation
@@ -40,6 +41,7 @@ class RandQB_b:
     seed: int | None = 0
     raise_on_failure: bool = False
 
+    @one_blas_thread()
     def solve(self, A) -> QBApproximation:
         check_tolerance(self.tol, randomized=True, allow_unsafe=True)
         t0 = time.perf_counter()
@@ -47,7 +49,7 @@ class RandQB_b:
             warnings.warn(
                 "RandQB_b densifies its input (explicit residual updates); "
                 "use RandQB_EI for sparse matrices", RuntimeWarning,
-                stacklevel=2)
+                stacklevel=3)  # past the one_blas_thread wrapper
             R = A.toarray()
         else:
             R = np.array(A, dtype=np.float64, copy=True)

@@ -19,6 +19,7 @@ import numpy as np
 from .. import perf
 from ..exceptions import ConvergenceError
 from ..history import ConvergenceHistory, IterationRecord
+from ..kernels.threads import one_blas_thread
 from ..linalg.norms import fro_norm_sq
 from ..linalg.orth import orth, reorth_workspace, reorthogonalize
 from ..linalg.random_gen import SketchKind, gaussian_batch, make_sketch
@@ -99,6 +100,7 @@ class RandQB_EI:
             from ..serialize import save_checkpoint
             save_checkpoint(self.checkpoint_path, state)
 
+    @one_blas_thread()
     def solve(self, A, *, resume_from=None) -> QBApproximation:
         """Run Algorithm 1 on ``A`` and return the QB approximation.
 

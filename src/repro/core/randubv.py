@@ -28,6 +28,7 @@ import numpy as np
 
 from ..exceptions import ConvergenceError
 from ..history import ConvergenceHistory, IterationRecord
+from ..kernels.threads import one_blas_thread
 from ..linalg.norms import fro_norm_sq
 from ..linalg.orth import orth
 from ..results import UBVApproximation
@@ -54,6 +55,7 @@ class RandUBV:
         if self.k <= 0:
             raise ValueError("block size k must be positive")
 
+    @one_blas_thread()
     def solve(self, A) -> UBVApproximation:
         check_tolerance(self.tol, randomized=True,
                         allow_unsafe=self.allow_unsafe_tolerance)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..history import ConvergenceHistory, IterationRecord
+from ..kernels.threads import one_blas_thread
 from ..linalg.norms import fro_norm
 from ..results import QBApproximation
 from .rrf import randomized_qb
@@ -46,6 +47,7 @@ class AdaptiveRSVD:
         if self.growth <= 1.0:
             raise ValueError("growth factor must exceed 1")
 
+    @one_blas_thread()
     def solve(self, A) -> QBApproximation:
         check_tolerance(self.tol, randomized=True, allow_unsafe=True)
         t0 = time.perf_counter()

@@ -32,7 +32,10 @@ def check_tolerance(tau: float, *, randomized: bool,
 
     Raises :class:`ToleranceTooSmallError` for randomized solvers when
     ``tau`` is below the double-precision indicator floor, unless
-    ``allow_unsafe`` (then a warning is emitted instead).
+    ``allow_unsafe`` (then a warning is emitted instead).  Called first
+    thing in a solver's ``solve``, which the ``one_blas_thread`` decorator
+    wraps: the warning skips that wrapper frame and names the line that
+    called ``solve``.
     """
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tolerance must be in (0, 1), got {tau}")
@@ -41,7 +44,7 @@ def check_tolerance(tau: float, *, randomized: bool,
                f"{INDICATOR_DOUBLE_PRECISION_FLOOR:g} of the randomized error "
                "indicator (Theorem 3, Yu/Gu/Li 2018)")
         if allow_unsafe:
-            warnings.warn(msg, RuntimeWarning, stacklevel=3)
+            warnings.warn(msg, RuntimeWarning, stacklevel=4)
         else:
             raise ToleranceTooSmallError(msg)
 

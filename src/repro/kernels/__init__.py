@@ -5,12 +5,13 @@ go through this package — never through :mod:`repro.kernels.native`
 directly (lint rule SPMD004) — so the pure fallback can never be
 bypassed and the bitwise-parity contract stays enforceable in one place.
 
-See :mod:`repro.kernels.tiers` for resolution semantics and
+See :mod:`repro.kernels.tiers` for resolution semantics,
+:mod:`repro.kernels.threads` for the library's thread budget, and
 ``docs/performance.md`` ("Kernel tiers") for the user-facing story.
 """
 
+from .threads import THREADS_ENV, kernel_threads
 from .tiers import (
-    THREADS_ENV,
     TIER_ENV,
     TIER_REQUESTS,
     TIERS,
@@ -20,7 +21,6 @@ from .tiers import (
     csr_to_csc,
     gather_columns,
     gram_csc,
-    kernel_threads,
     native_available,
     permuted_blocks,
     pivot_argmin_consume,

@@ -37,6 +37,7 @@ import warnings
 from .. import perf
 from . import native
 from . import pure
+from .threads import blas_threads, kernel_threads
 
 #: Registered tiers, in fallback order.
 TIERS = ("pure", "native")
@@ -48,27 +49,8 @@ TIER_REQUESTS = ("auto",) + TIERS
 #: sets it to force the compiled tier under the whole test suite).
 TIER_ENV = "REPRO_KERNEL_TIER"
 
-#: Rank-local thread count of the OpenMP parallel SpGEMM.  Parsed fresh
-#: per dispatched call (an env read — the SPMD procs backend pins it to 1
-#: in each rank process so P ranks never oversubscribe P cores).  The
-#: result is bitwise-independent of this value: every output row is
-#: computed by the identical per-row code at any thread count.
-THREADS_ENV = "REPRO_KERNEL_THREADS"
-
 _tl = threading.local()
 _warned_unavailable = False
-
-
-def kernel_threads() -> int:
-    """The rank-local SpGEMM thread count from ``$REPRO_KERNEL_THREADS``
-    (default and floor 1; non-numeric values read as 1)."""
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        return 1
 
 
 def _thread_state():
@@ -144,13 +126,18 @@ def resolve_tier(request: str | None = None) -> str:
 def record_tier(tier: str) -> str:
     """Count one solve on ``tier`` in the perf counters; returns ``tier``.
 
-    Native solves also record the rank-local SpGEMM thread count as the
-    ``kernel_tier.threads`` gauge (last solve wins) — the provenance that
-    says what ``$REPRO_KERNEL_THREADS`` actually resolved to."""
+    Every solve records the OpenBLAS pool size it runs with as the
+    ``kernel_tier.blas_threads`` gauge (0 when no pool can be controlled;
+    see :mod:`repro.kernels.threads`).  Native solves also record the
+    rank-local SpGEMM thread count as the ``kernel_tier.threads`` gauge —
+    the provenance that says what ``$REPRO_KERNEL_THREADS`` actually
+    resolved to.  For both gauges the last solve wins."""
     perf.incr(f"kernel_tier.{tier}")
-    if tier == "native" and perf.is_enabled():
-        perf.get_recorder().counters["kernel_tier.threads"] = \
-            float(kernel_threads())
+    if perf.is_enabled():
+        counters = perf.get_recorder().counters
+        counters["kernel_tier.blas_threads"] = float(blas_threads())
+        if tier == "native":
+            counters["kernel_tier.threads"] = float(kernel_threads())
     return tier
 
 

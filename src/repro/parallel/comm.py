@@ -33,6 +33,7 @@ from ..exceptions import (
     CommunicatorError,
     RankFailure,
 )
+from ..kernels.threads import one_blas_thread
 from . import sanitize
 from .collectives import CommLedger, summarize_ledgers
 from .faults import DROP, FaultInjector, FaultPlan
@@ -491,6 +492,7 @@ def _record_comm_perf(out: dict) -> None:
         perf.incr(f"spmd.{backend}.wall_seconds", out["wall_seconds"])
 
 
+@one_blas_thread()
 def run_spmd(nprocs: int, program, *args, machine: MachineModel | None = None,
              fault_plan: FaultPlan | FaultInjector | None = None,
              recv_timeout: float = DEFAULT_RECV_TIMEOUT,
@@ -510,6 +512,10 @@ def run_spmd(nprocs: int, program, *args, machine: MachineModel | None = None,
     abort the run and are re-raised on the caller's thread; with several
     failing ranks the most causal error wins (injected crash > program
     error > observed failure).
+
+    The run holds the OpenBLAS pools at one thread on both backends and
+    restores the caller's pool sizes afterwards (see
+    :mod:`repro.kernels.threads`): the ranks are the parallelism.
 
     Parameters
     ----------

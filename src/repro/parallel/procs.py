@@ -55,7 +55,6 @@ count post-recovery work only.
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import time
 from multiprocessing import shared_memory
 from pathlib import Path
@@ -64,6 +63,7 @@ import numpy as np
 
 from .. import exceptions as _exc
 from ..exceptions import CommTimeoutError, CommunicatorError, RankFailure
+from ..kernels.threads import pin_rank
 from . import sanitize, transport
 from .collectives import (
     CommLedger,
@@ -579,11 +579,9 @@ def _rank_main(rank: int, nprocs: int, program, args: tuple, kwargs: dict,
     """
     attached = []
     ctrl = None
-    # P rank processes already occupy P cores: pin each rank's OpenMP
-    # SpGEMM to one thread so the native kernel tier never oversubscribes
-    # the host (results are bitwise-independent of the thread count, so
-    # this is purely a scheduling decision).
-    os.environ["REPRO_KERNEL_THREADS"] = "1"
+    # P rank processes already occupy P cores: one BLAS thread and one
+    # OpenMP SpGEMM thread per rank, so ranks never oversubscribe the host
+    pin_rank()
     try:
         ctrl = _CtrlBlock(nprocs, name=ctrl_name)
         args, attached = resolve_args(args)

@@ -19,6 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..exceptions import CheckpointError
+from ..kernels.threads import one_blas_thread
 from ..linalg.norms import fro_norm_sq
 from ..linalg.orth import orth
 from ..sparse.utils import ensure_csc
@@ -413,6 +414,7 @@ def _rank_in(ids: np.ndarray, reference: np.ndarray) -> np.ndarray:
 # registry name and assemble a LowRankApproximation from the rank results.
 # ---------------------------------------------------------------------------
 
+@one_blas_thread()
 def run_spmd_solver(method: str, A, nprocs: int, *, k: int = 16,
                     tol: float = 1e-2, power: int = 0, seed: int = 0,
                     max_rank: int | None = None, threshold: float = 0.0,
@@ -445,7 +447,9 @@ def run_spmd_solver(method: str, A, nprocs: int, *, k: int = 16,
     :class:`repro.trace.CommTrace` under ``"trace"`` and the per-rank
     ledger dicts under ``"ledgers"``.  ``run_kwargs`` pass through to
     ``run_spmd`` (``machine=``, ``trace=``, ``fault_plan=``,
-    ``recv_timeout=``, ...).
+    ``recv_timeout=``, ...).  Like every library call it runs BLAS
+    single-threaded, the parent-side assembly included (see
+    :mod:`repro.kernels.threads`).
     """
     from ..api import resolve_method
     from ..results import LUApproximation, QBApproximation, UBVApproximation

@@ -30,6 +30,8 @@ from repro.core.lu_crtp import LU_CRTP
 from repro.core.randqb_ei import RandQB_EI
 from repro.kernels import native, pure, tiers
 from repro.kernels.native import build
+from repro.kernels.threads import blas_threads, set_blas_threads
+from repro.matrices.suite import suite_matrix
 from repro.parallel.spmd import run_spmd_solver
 from repro.sparse.spgemm import SpGEMMWorkspace
 
@@ -659,14 +661,29 @@ def test_parallel_spgemm_restores_mark_invariant(monkeypatch):
 
 @needs_native
 def test_e2e_parity_across_thread_counts(monkeypatch):
-    A = _m2_analogue(150)
-    results = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv(kernels.THREADS_ENV, threads)
-        results.append(LU_CRTP(k=8, tol=1e-6, max_rank=32,
-                               kernel_tier="native",
-                               raise_on_failure=False).solve(A))
-    _assert_same_lu(results[0], results[1])
+    # Inputs: the OpenMP SpGEMM thread count and the caller's OpenBLAS
+    # pool size.  M2 at scale 0.6 is large enough for threaded BLAS
+    # reductions to change LU_CRTP's indicator bits on a 2-thread pool, so
+    # this fails unless the solve holds the pool at one thread itself.
+    A = suite_matrix("M2", scale=0.6)
+    caller_pool = blas_threads()
+    try:
+        for cls, extra in ((LU_CRTP, {}),
+                           (ILUT_CRTP, {"estimated_iterations": 6})):
+            results = []
+            for threads in ("1", "2"):
+                monkeypatch.setenv(kernels.THREADS_ENV, threads)
+                for pool in (1, 2):
+                    set_blas_threads(pool)
+                    results.append(cls(k=16, tol=2e-2, kernel_tier="native",
+                                       raise_on_failure=False,
+                                       **extra).solve(A))
+            for res in results[1:]:
+                _assert_same_lu(results[0], res)
+                _assert_bitwise_csc(results[0].L, res.L)
+                _assert_bitwise_csr(results[0].U, res.U)
+    finally:
+        set_blas_threads(caller_pool)
 
 
 # -- factor-conversion caching (repro.core.apply) ----------------------------
