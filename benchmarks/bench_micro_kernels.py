@@ -20,6 +20,17 @@ root (the committed copy documents the speedups on the reference machine):
                           vs the fused index-window ``permuted_blocks`` +
                           ``csr_matmul_nosym`` route; native = the fully
                           fused ``schur_update_csc`` dispatch;
+- ``gram_filled`` / ``gram_sparse`` — a self-Gram plus a cross-Gram of
+                          64-column CSC panels through ``kernels.gram_csc``
+                          (pure on both columns), at density 0.9 (native
+                          = dense-panel route) and 0.05 (below the
+                          crossover: native = sparse transpose route);
+- ``schur_filled`` / ``schur_sparse`` — ``kernels.schur_update_csc`` on a
+                          filled-in product (flop-bound ratio ~0.8:
+                          native = dense-panel route) and on an unfilled
+                          one (ratio ~0.005: native = row-merge SpGEMM +
+                          fused difference), pure on both columns; the
+                          four new rows time pure and native alternately;
 - ``thresholding``      — copying :func:`drop_small` vs the fused
                           mask-then-apply-in-place route;
 - ``pivot_scan``        — the colamd packed-key argmin-consume loop
@@ -69,6 +80,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -76,6 +88,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -120,6 +133,16 @@ def _mintime(fn, repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _mintime_pair(fa, fb, repeats: int) -> tuple[float, float]:
+    """Min-of-N of two routes timed alternately, so a slow stretch of a
+    shared host hits both instead of deciding their ratio."""
+    ta = tb = float("inf")
+    for _ in range(repeats):
+        ta = min(ta, _mintime(fa, 1))
+        tb = min(tb, _mintime(fb, 1))
+    return ta, tb
 
 
 @contextmanager
@@ -323,6 +346,105 @@ def bench_schur_update(quick: bool, repeats: int, native: bool) -> dict:
     return entry
 
 
+def _dense_route_calls(fn) -> dict:
+    """Run ``fn`` once with perf recording on; the dense-panel route
+    counters it fed (the bench rows assert which route they time)."""
+    from repro import perf
+    rec, prev, was = perf.PerfRecorder(), perf.get_recorder(), \
+        perf.is_enabled()
+    perf.enable(rec)
+    try:
+        fn()
+    finally:
+        perf.enable(prev)
+        if not was:
+            perf.disable()
+    return {key.split(".")[1]: rec.counters.get(key, 0.0)
+            for key in ("kernel_tier.gram_dense_calls",
+                        "kernel_tier.schur_dense_calls")}
+
+
+def bench_gram(quick: bool, repeats: int, native: bool,
+               filled: bool) -> dict:
+    """Self-Gram plus cross-Gram of 64-column CSC panels — the two Gram
+    shapes of a tournament match.  Density 0.9 puts the native tier on
+    its dense-panel route, 0.05 keeps it below the crossover."""
+    m = 400 if quick else 900
+    density = 0.9 if filled else 0.05
+    rng = np.random.default_rng(10)
+    B1 = sp.random(m, 64, density=density, random_state=rng, format="csc")
+    B2 = sp.random(m, 64, density=density, random_state=rng, format="csc")
+    B1.sort_indices()
+    B2.sort_indices()
+
+    def grams(tier):
+        return (kernels.gram_csc(B1, B1, tier=tier),
+                kernels.gram_csc(B1, B2, tier=tier))
+
+    if native:
+        t_pure, t_native = _mintime_pair(lambda: grams("pure"),
+                                         lambda: grams("native"), repeats)
+    else:
+        t_pure = _mintime(lambda: grams("pure"), repeats)
+    entry = {"before_s": t_pure, "after_s": t_pure,
+             "detail": f"B^T B + B1^T B2, {m}x64 CSC panels, d={density}; "
+                       "pure csr_matmat route on both columns, native = "
+                       + ("dense-panel route" if filled else
+                          "sparse transpose route (below the crossover)")}
+    if native:
+        ref, got = grams("pure"), grams("native")
+        assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
+                   for a, b in zip(ref, got)), "gram tiers disagree"
+        calls = _dense_route_calls(lambda: grams("native"))
+        assert calls["gram_dense_calls"] == (2.0 if filled else 0.0), calls
+        _add_native_tier(entry, t_native)
+    return entry
+
+
+def bench_schur_filled(quick: bool, repeats: int, native: bool,
+                       filled: bool) -> dict:
+    """``schur_update_csc`` on either side of the dense-panel crossover:
+    a filled-in product (F and A12 at density 0.9) and an unfilled one
+    like the first iterations of an LU_CRTP solve (F 0.1, A12 0.05), each
+    with an A22 as full as the product it meets."""
+    m = 400 if quick else 700
+    k = 32
+    rng = np.random.default_rng(11)
+    dF, dA = (0.9, 0.9) if filled else (0.1, 0.05)
+    F = sp.random(m, k, density=dF, random_state=rng, format="csr")
+    A12 = sp.random(k, m, density=dA, random_state=rng, format="csr")
+    A22 = sp.random(m, m, density=min(1.0 - (1.0 - dF * dA) ** k, 0.97),
+                    random_state=rng, format="csr")
+    for M in (F, A12, A22):
+        M.sort_indices()
+
+    def update(tier):
+        return kernels.schur_update_csc(A22, F, A12, tol=0.0, tier=tier)
+
+    if native:
+        t_pure, t_native = _mintime_pair(lambda: update("pure"),
+                                         lambda: update("native"), repeats)
+    else:
+        t_pure = _mintime(lambda: update("pure"), repeats)
+    entry = {"before_s": t_pure, "after_s": t_pure,
+             "detail": f"A22 - F @ A12, m=n={m}, k={k}, F d={dF}, A12 "
+                       f"d={dA}; pure scipy composition on both columns, "
+                       "native = " + ("dense-panel route" if filled else
+                                      "row-merge SpGEMM + fused difference "
+                                      "(below the crossover)")}
+    if native:
+        ref, got = update("pure"), update("native")
+        assert (np.array_equal(ref.indptr, got.indptr)
+                and np.array_equal(ref.indices, got.indices)
+                and np.array_equal(ref.data.view(np.uint64),
+                                   got.data.view(np.uint64))), \
+            "schur tiers disagree"
+        calls = _dense_route_calls(lambda: update("native"))
+        assert calls["schur_dense_calls"] == (1.0 if filled else 0.0), calls
+        _add_native_tier(entry, t_native)
+    return entry
+
+
 def bench_thresholding(quick: bool, repeats: int, native: bool) -> dict:
     n = 300 if quick else 800
     rng = np.random.default_rng(4)
@@ -481,6 +603,24 @@ def measure_pre_pr_e2e(baseline_repo: str, quick: bool,
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def _host() -> dict:
+    """What the timings were measured on: CPU model, core count, build
+    flags and library versions (absolute times are machine-bound)."""
+    from repro.kernels.native import build
+    model = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo") as fh:
+            model = next(line.split(":", 1)[1].strip() for line in fh
+                         if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    return {"cpu": model, "cpu_count": os.cpu_count(),
+            "platform": platform.platform(),
+            "python": platform.python_version(),
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "cflags": " ".join(build.CFLAGS)}
+
+
 def run(quick: bool) -> dict:
     repeats = 1 if quick else 3
     # one availability probe up front: triggers the one-time JIT build (if
@@ -493,6 +633,14 @@ def run(quick: bool) -> dict:
         "csr_to_csc": bench_csr_to_csc(quick, max(repeats, 5), native),
         "permute_split": bench_permute_split(quick, max(repeats, 5), native),
         "schur_update": bench_schur_update(quick, max(repeats, 3), native),
+        "gram_filled": bench_gram(quick, max(repeats, 9), native,
+                                  filled=True),
+        "gram_sparse": bench_gram(quick, max(repeats, 9), native,
+                                  filled=False),
+        "schur_filled": bench_schur_filled(quick, max(repeats, 9), native,
+                                           filled=True),
+        "schur_sparse": bench_schur_filled(quick, max(repeats, 9), native,
+                                           filled=False),
         "thresholding": bench_thresholding(quick, max(repeats, 5), native),
         "pivot_scan": bench_pivot_scan(quick, max(repeats, 5), native),
         "tsqr": bench_tsqr(quick, max(repeats, 3)),
@@ -508,7 +656,7 @@ def run(quick: bool) -> dict:
         entry["speedup"] = (entry["before_s"] / entry["after_s"]
                             if entry["after_s"] > 0 else float("inf"))
     return {"config": {"quick": quick, "repeats": repeats,
-                       "native_tier": native},
+                       "native_tier": native, "host": _host()},
             "schema_version": SCHEMA_VERSION,
             "benches": benches}
 

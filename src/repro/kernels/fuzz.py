@@ -17,7 +17,10 @@ results, with adversarial input families the hand-picked pins under-run:
 - extreme magnitudes including subnormals and near-overflow values
   (``extreme``);
 - int32 index dtype with row ids near the 2**31 boundary
-  (``boundary32``).
+  (``boundary32``);
+- filled-in operands at density 0.9-1.0 (``filled``), which put
+  ``gram_csc`` and ``schur_update_csc`` on their dense-panel routes
+  while the sparser families keep them below the crossovers.
 
 Failures are **minimized** (greedy shrink over the generating
 parameters, re-checked after every step) and saved as ``.npz``
@@ -45,7 +48,7 @@ from . import tiers
 
 #: Adversarial input families, rotated per case index.
 PATTERNS = ("uniform", "empty_rows", "dense_row", "cancel", "negzero",
-            "extreme", "empty", "boundary32")
+            "extreme", "empty", "boundary32", "filled")
 
 #: Kernels the harness covers, in dispatch-surface order.
 KERNELS = ("spgemm_csr", "threshold_mask", "apply_threshold_mask",
@@ -80,6 +83,8 @@ def make_spec(kernel: str, seed: int, case: int) -> CaseSpec:
     lo = 0 if pattern == "empty" else 1
     m, n, k = (int(v) for v in rng.integers(lo, 41, 3))
     density = float(rng.choice((0.02, 0.1, 0.3, 0.6)))
+    if pattern == "filled":
+        density = float(rng.choice((0.9, 0.95, 1.0)))
     idx = "i32" if (case // len(PATTERNS)) % 2 == 0 else "i64"
     return CaseSpec(kernel=kernel, seed=seed, case=case, m=m, n=n, k=k,
                     density=density, pattern=pattern, idx=idx)
@@ -203,16 +208,19 @@ def generate(spec: CaseSpec) -> dict:
         cols = rng.choice(A.shape[1], size=ncols,
                           replace=False).astype(np.int64)
         return {"A": A, "cols": cols}
+    # variants rotate per occurrence of a family, so every family meets
+    # each of them (the family itself is case % len(PATTERNS))
+    variant = (spec.case // len(PATTERNS)) % 3
     if k == "gram_csc":
         B1 = _sparse(spec, rng, spec.m, spec.n, "csc")
-        if spec.case % 3 == 0:
+        if variant == 0:
             return {"B1": B1, "B2": B1}  # identity => symmetric path
         return {"B1": B1, "B2": _sparse(spec, rng, spec.m, spec.k, "csc")}
     if k == "schur_update_csc":
         return {"A22": _sparse(spec, rng, spec.m, spec.n, "csr"),
                 "F": _sparse(spec, rng, spec.m, spec.k, "csr"),
                 "A12": _sparse(spec, rng, spec.k, spec.n, "csr"),
-                "tol": (None, 0.0, 1e-3)[spec.case % 3]}
+                "tol": (None, 0.0, 1e-3)[variant]}
     raise ValueError(f"unknown kernel {k!r}")
 
 

@@ -24,7 +24,11 @@ counterpart (see the parity pins in ``tests/test_kernel_tiers.py``):
 - :func:`gather_columns`   ≡ the general gather path of
   ``repro.sparse.ops.extract_columns``
 - :func:`gram_csc`         ≡ ``repro.linalg.cholqr._cross_gram_kernel``
+  (a filled-in panel takes a dense-panel route with the same bits)
 - :func:`schur_diff_csc`   ≡ ``(A - C).tocsc()`` + ``drop_explicit_zeros``
+- :func:`schur_update_csc` ≡ ``repro.kernels.pure.schur_update_csc``
+  (row-merge SpGEMM + :func:`schur_diff_csc`, or a dense-panel route
+  with the same bits once the product fills in)
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import threading
 
 import numpy as np
 
+from ... import perf
 from ...sparse.ops import _MATMUL_CAP
 from ...sparse.utils import raw_csc, raw_csr
 from . import build
@@ -108,11 +113,22 @@ _ABI: dict[str, tuple[str | None, tuple[str, ...]]] = {
                        "IDX*", "IDX*", "f64*",
                        "f64*", "i64",
                        "i64*", "i64*", "f64*")),
+    "rk_gram_dense": ("i64", ("i64", "i64", "i64",
+                              "IDX*", "IDX*", "f64*",
+                              "IDX*", "IDX*", "f64*",
+                              "f64*", "i64", "f64*")),
     "rk_schur_diff": ("i64", ("i64", "i64",
                               "IDX*", "IDX*", "f64*",
                               "IDX*", "IDX*", "f64*",
                               "IDX*", "IDX*", "f64*",
                               "i64*", "f64*", "f64")),
+    "rk_schur_dense": ("i64", ("i64", "i64", "i64",
+                               "IDX*", "IDX*", "f64*",
+                               "IDX*", "IDX*", "f64*",
+                               "IDX*", "IDX*", "f64*",
+                               "f64*", "f64*", "f64*", "IDX*", "f64")),
+    "rk_schur_dense_emit": (None, ("i64", "i64", "f64*",
+                                   "IDX*", "IDX*", "f64*")),
 }
 
 _SCALAR_CTYPES = {"i64": ctypes.c_int64, "f64": ctypes.c_double}
@@ -531,11 +547,27 @@ def gather_columns(A, cols):
 # dense cross-Gram of CSC panels
 # ---------------------------------------------------------------------------
 
+#: Dense-panel crossover of :func:`gram_csc`: the dense route runs when
+#: ``nnz(B2) >= _GRAM_DENSE_MIN * m * c2``, which also bounds its panel
+#: at ``5 * nnz(B2)`` doubles — tall, very sparse panels keep the sparse
+#: route and its O(m + nnz) scratch.  Fixed from a sweep over uniformly
+#: random 64-column panels (2-vCPU Xeon, SSE2 build): at density 0.1 the
+#: dense route wins self-Grams by 1.1-1.4x but loses cross-Grams by up
+#: to 1.4x (m = 20000); from 0.2 it wins both at m = 900-20000 (cross
+#: 1.04-1.6x, self 1.5-2.1x), rising to 4-5x on the 80-100% dense panels
+#: of a filled-in LU_CRTP solve.  The rows ``gram_filled`` and
+#: ``gram_sparse`` of benchmarks/bench_micro_kernels.py time both sides.
+_GRAM_DENSE_MIN = 0.2
+
+
 def gram_csc(B1, B2, workspace=None):
     """Dense ``B1.T @ B2`` for canonical CSC panels (pure contract:
-    ``repro.linalg.cholqr._cross_gram_kernel``), accumulating straight
-    out of an internal counting-sort transpose of ``B2`` instead of the
-    pure route's per-call ``tocsr`` + ``sort_indices`` + index upcasts."""
+    ``repro.linalg.cholqr._cross_gram_kernel``).  Two routes with the
+    same bits: a filled-in ``B2`` is zero-filled into a dense panel and
+    accumulated in contiguous loops (``rk_gram_dense``); otherwise the
+    kernel accumulates straight out of an internal counting-sort
+    transpose of ``B2`` (``rk_gram``) instead of the pure route's
+    per-call ``tocsr`` + ``sort_indices`` + index upcasts."""
     from ...sparse.spgemm import SpGEMMWorkspace
 
     lib = load()
@@ -553,17 +585,22 @@ def gram_csc(B1, B2, workspace=None):
     nnz2 = int(B2.indptr[-1])
     if workspace is None:
         workspace = SpGEMMWorkspace()
-    tp, tj, tx = workspace.gram_buffers(m, nnz2)
     C = np.empty((c1, c2), dtype=np.float64)
     # self-Gram: B1^T B1 is exactly symmetric (IEEE multiplication is
     # commutative and both triangles accumulate the same products in the
-    # same row order), so the kernel fills only the upper triangle and
-    # mirrors — half the multiply-add work, bit-identical output
+    # same row order), so the kernel mirrors the upper triangle
     sym = B1 is B2 or (B1.data is B2.data and B1.indices is B2.indices
                        and B1.indptr is B2.indptr)
-    fn = getattr(lib, "rk_gram" + _idx_suffix(B1.indices.dtype))
-    fn(m, c1, c2, B1.indptr, B1.indices, B1.data,
-       B2.indptr, B2.indices, B2.data, C, int(sym), tp, tj, tx)
+    suffix = _idx_suffix(B1.indices.dtype)
+    args = (m, c1, c2, B1.indptr, B1.indices, B1.data,
+            B2.indptr, B2.indices, B2.data, C, int(sym))
+    if nnz2 and nnz2 >= _GRAM_DENSE_MIN * m * c2:
+        dense = getattr(lib, "rk_gram_dense" + suffix)
+        if dense(*args, workspace.panel_buffer(m * c2)):
+            perf.incr("kernel_tier.gram_dense_calls")
+            return C
+    tp, tj, tx = workspace.gram_buffers(m, nnz2)
+    getattr(lib, "rk_gram" + suffix)(*args, tp, tj, tx)
     return C
 
 
@@ -626,6 +663,93 @@ def schur_diff_csc(A, C, tol: float, workspace=None):
     conv = getattr(lib, "rk_csr_tocsc" + _idx_suffix(out_idx))
     conv(m, n, Dp, Dj, Dx, Sp, Si, Sx)
     return raw_csc(Sx, Si, Sp, (m, n), sorted_indices=True)
+
+
+#: Dense-panel crossover of :func:`schur_update_csc`: the dense route runs
+#: when the SpGEMM's structural flop bound reaches
+#: ``_SCHUR_DENSE_MIN * m * n * k`` (and at least ``m * n``, so its
+#: per-call m x n block never outgrows the sparse route's product
+#: arrays).  Fixed from a sweep over random F (density 0.6 and 1.0) and
+#: A12 at m = n = 300-1000, k = 8-64 (2-vCPU Xeon, SSE2 build): at a
+#: bound ratio of 0.1 the dense route wins every shape (1.07-1.7x), at
+#: 0.03 it still loses small-k products (0.57x at k = 8), and on the
+#: first, unfilled iterations of an LU_CRTP solve (ratio < 0.01) the
+#: sparse route is 3-12x faster.  The rows ``schur_filled`` and
+#: ``schur_sparse`` of benchmarks/bench_micro_kernels.py time both sides.
+_SCHUR_DENSE_MIN = 0.1
+
+
+def _schur_dense(lib, A22, F, A12, tol: float, workspace):
+    """The dense-panel Schur route (``rk_schur_dense`` +
+    ``rk_schur_dense_emit``), or ``None`` when a precondition fails."""
+    m, n = A22.shape
+    k = F.shape[1]
+    out_idx = np.dtype(np.int32) if max(m, n) <= _INT32_MAX \
+        else np.dtype(np.int64)
+    if out_idx == np.dtype(np.int32) \
+            and max(k, F.nnz, A12.nnz) > _INT32_MAX:
+        return None
+    Ap, Aj = (A22.indptr.astype(out_idx, copy=False),
+              A22.indices.astype(out_idx, copy=False))
+    Fp, Fj = (F.indptr.astype(out_idx, copy=False),
+              F.indices.astype(out_idx, copy=False))
+    Bp, Bj = (A12.indptr.astype(out_idx, copy=False),
+              A12.indices.astype(out_idx, copy=False))
+    _, arow, _ = workspace.matmat_buffers(n)
+    # the m x n block is per call: with flop bound >= m*n (checked by the
+    # caller) it is never larger than the sparse route's product arrays
+    R = np.empty(m * n, dtype=np.float64)
+    Sp = np.empty(n + 1, dtype=out_idx)
+    suffix = _idx_suffix(out_idx)
+    nnz = int(getattr(lib, "rk_schur_dense" + suffix)(
+        m, n, k, Ap, Aj, A22.data, Fp, Fj, F.data, Bp, Bj, A12.data,
+        workspace.panel_buffer(k * n), arow, R, Sp, float(tol)))
+    if nnz < 0:
+        return None
+    Si = np.empty(nnz, dtype=out_idx)
+    Sx = np.empty(nnz, dtype=np.float64)
+    getattr(lib, "rk_schur_dense_emit" + suffix)(m, n, R, Sp, Si, Sx)
+    return raw_csc(Sx, Si, Sp, (m, n), sorted_indices=True)
+
+
+def schur_update_csc(A22, F, A12, tol: float | None = None,
+                     workspace=None, threads: int = 1):
+    """The Schur-complement update ``(A22 - F @ A12).tocsc()`` with the
+    explicit-zero drop applied when ``tol`` is not ``None`` (pure
+    contract: ``repro.kernels.pure.schur_update_csc``).  A filled-in
+    product takes the dense-panel route; otherwise the row-merge SpGEMM
+    feeds :func:`schur_diff_csc`.  Inputs outside both kernels' contract
+    finish on the scipy composition."""
+    from ...sparse.spgemm import SpGEMMWorkspace
+
+    lib = load()
+    if workspace is None:
+        workspace = SpGEMMWorkspace()
+    drop = 0.0 if tol is None else tol
+    m, n = A22.shape
+    k = F.shape[1]
+    if lib is not None and m * n <= _MATMUL_CAP and all(
+            M.data.dtype == np.float64
+            and M.indices.dtype == M.indptr.dtype
+            and np.dtype(M.indices.dtype) in (np.dtype(np.int32),
+                                              np.dtype(np.int64))
+            for M in (A22, F, A12)):
+        bound = int(np.diff(A12.indptr)[F.indices].sum())
+        if bound and bound >= max(m * n, _SCHUR_DENSE_MIN * m * n * k):
+            S = _schur_dense(lib, A22, F, A12, drop, workspace)
+            if S is not None:
+                perf.incr("kernel_tier.schur_dense_calls")
+                return S
+    C = spgemm_csr(F, A12, workspace=workspace, threads=threads)
+    S = schur_diff_csc(A22, C, drop, workspace=workspace)
+    if S is not None:
+        return S
+    # inputs outside the fused kernel's contract: finish on scipy
+    from ...sparse.utils import drop_explicit_zeros
+    S = (A22 - C).tocsc()
+    if tol is not None:
+        drop_explicit_zeros(S, tol=tol)
+    return S
 
 
 #: above this many keys numpy's SIMD argmin beats the C scan — both routes

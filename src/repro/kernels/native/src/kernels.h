@@ -193,6 +193,19 @@ RK_EXPORT void rk_gram_i64(
     double *C, int64_t sym,
     int64_t *tp, int64_t *tj, double *tx);
 
+/* Dense-panel route of the Gram for a filled-in B2; returns 0 without
+ * writing C when a precondition fails (gram_impl.inc). */
+RK_EXPORT int64_t rk_gram_dense_i32(
+    int64_t m, int64_t c1, int64_t c2,
+    const int32_t *B1p, const int32_t *B1i, const double *B1x,
+    const int32_t *B2p, const int32_t *B2i, const double *B2x,
+    double *C, int64_t sym, double *P);
+RK_EXPORT int64_t rk_gram_dense_i64(
+    int64_t m, int64_t c1, int64_t c2,
+    const int64_t *B1p, const int64_t *B1i, const double *B1x,
+    const int64_t *B2p, const int64_t *B2i, const double *B2x,
+    double *C, int64_t sym, double *P);
+
 /* Fused Schur update difference, D = A - C with drop tol
  * (schur_impl.inc). */
 RK_EXPORT int64_t rk_schur_diff_i32(
@@ -207,5 +220,27 @@ RK_EXPORT int64_t rk_schur_diff_i64(
     const int64_t *Cp, const int64_t *Cj, const double *Cx,
     int64_t *Dp, int64_t *Dj, double *Dx,
     int64_t *mark, double *sums, double tol);
+
+/* Dense-panel route of the whole Schur update for a filled-in product:
+ * block pass (returns nnz, or -1 when a precondition fails) and CSC
+ * gather pass (schur_impl.inc). */
+RK_EXPORT int64_t rk_schur_dense_i32(
+    int64_t m, int64_t n, int64_t k,
+    const int32_t *Ap, const int32_t *Aj, const double *Ax,
+    const int32_t *Fp, const int32_t *Fj, const double *Fx,
+    const int32_t *Bp, const int32_t *Bj, const double *Bx,
+    double *P, double *arow, double *R, int32_t *Sp, double tol);
+RK_EXPORT int64_t rk_schur_dense_i64(
+    int64_t m, int64_t n, int64_t k,
+    const int64_t *Ap, const int64_t *Aj, const double *Ax,
+    const int64_t *Fp, const int64_t *Fj, const double *Fx,
+    const int64_t *Bp, const int64_t *Bj, const double *Bx,
+    double *P, double *arow, double *R, int64_t *Sp, double tol);
+RK_EXPORT void rk_schur_dense_emit_i32(
+    int64_t m, int64_t n, const double *R,
+    const int32_t *Sp, int32_t *Si, double *Sx);
+RK_EXPORT void rk_schur_dense_emit_i64(
+    int64_t m, int64_t n, const double *R,
+    const int64_t *Sp, int64_t *Si, double *Sx);
 
 #endif /* REPRO_KERNELS_H */

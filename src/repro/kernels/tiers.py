@@ -260,7 +260,8 @@ def gather_columns(A, cols, *, tier: str | None = None):
 def gram_csc(B1, B2, *, tier: str | None = None, workspace=None):
     """Dense ``B1.T @ B2`` of canonical float64 CSC panels — the panel
     (cross-)Gram of the tournament QR selection, bitwise-identical
-    across tiers."""
+    across tiers (and across the native tier's sparse and dense-panel
+    routes)."""
     mod, t = _impl(tier)
     if t == "native":
         return mod.gram_csc(B1, B2, workspace=_thread_workspace(workspace))
@@ -273,20 +274,12 @@ def schur_update_csc(A22, F, A12, *, tol: float | None = None,
     explicit-zero drop (``drop_explicit_zeros(..., tol)``) applied when
     ``tol`` is not ``None`` — one dispatch for the multiply, subtract,
     convert and drop chain so the native tier can fuse it (SpGEMM into
-    workspace, one-pass difference, one counting sort) instead of
-    materializing three scipy intermediates."""
+    workspace, one-pass difference, one counting sort; dense-panel loops
+    once the product fills in) instead of materializing three scipy
+    intermediates."""
     mod, t = _impl(tier)
     if t == "native":
-        ws = _thread_workspace(workspace)
-        C = mod.spgemm_csr(F, A12, workspace=ws, threads=kernel_threads())
-        S = mod.schur_diff_csc(A22, C, 0.0 if tol is None else tol,
-                               workspace=ws)
-        if S is not None:
-            return S
-        # inputs outside the fused kernel's contract: finish on scipy
-        from ..sparse.utils import drop_explicit_zeros
-        S = (A22 - C).tocsc()
-        if tol is not None:
-            drop_explicit_zeros(S, tol=tol)
-        return S
+        return mod.schur_update_csc(A22, F, A12, tol=tol,
+                                    workspace=_thread_workspace(workspace),
+                                    threads=kernel_threads())
     return mod.schur_update_csc(A22, F, A12, tol=tol)

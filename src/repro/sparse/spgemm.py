@@ -7,9 +7,10 @@ scipy's C implementation on the pure tier, the row-merge C kernel on the
 native tier.  This module holds what both sides share:
 
 - :class:`SpGEMMWorkspace` — scratch buffers of the native tier's
-  row-merge SpGEMM, gram and parallel kernels, grown geometrically and
-  reused across block iterations so the fixed-precision loop allocates
-  only on its highest-watermark iteration;
+  row-merge SpGEMM, gram, dense-panel and parallel kernels, grown
+  geometrically and reused across block iterations so the
+  fixed-precision loop allocates only on its highest-watermark
+  iteration;
 - :func:`spgemm_flops` — the exact multiply-add count the performance
   model charges for a Schur complement.
 """
@@ -51,6 +52,9 @@ class SpGEMMWorkspace:
         self._gr_nnz = 0
         self._gr_ind: np.ndarray | None = None
         self._gr_val: np.ndarray | None = None
+        # zero-filled operand panel of the dense routes (panel_buffer)
+        self._panel_n = 0
+        self._panel: np.ndarray | None = None
 
     @staticmethod
     def _grow_cap(current: int, needed: int) -> int:
@@ -110,6 +114,17 @@ class SpGEMMWorkspace:
             self._gr_val = np.empty(self._gr_nnz, dtype=np.float64)
             self.grown += 1
         return (self._gr_ptr, self._gr_ind, self._gr_val)
+
+    def panel_buffer(self, size: int) -> np.ndarray:
+        """float64 scratch (>= ``size`` slots, no entry invariant) for the
+        zero-filled operand panel of the dense-panel Gram and Schur
+        routes: ``m x c2`` for :func:`repro.kernels.native.gram_csc`,
+        ``k x n`` for :func:`repro.kernels.native.schur_update_csc`."""
+        if self._panel is None or self._panel_n < size:
+            self._panel_n = self._grow_cap(self._panel_n, size)
+            self._panel = np.empty(self._panel_n, dtype=np.float64)
+            self.grown += 1
+        return self._panel
 
 
 def spgemm_flops(A, B) -> float:

@@ -18,13 +18,14 @@ Three layers of coverage for :mod:`repro.kernels`:
 
 from __future__ import annotations
 
+import contextlib
 import threading
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro import kernels
+from repro import kernels, perf
 from repro.core.ilut_crtp import ILUT_CRTP
 from repro.core.lu_crtp import LU_CRTP
 from repro.core.randqb_ei import RandQB_EI
@@ -497,9 +498,10 @@ def test_gram_parity(seed):
 
 @needs_native
 def test_gram_symmetric_dense_panel_parity():
-    # self-Gram takes the upper-triangle + mirror fast path; a density-1
-    # panel additionally drives the contiguous full-workspace-row loop.
-    # Both must reproduce the pure route bit for bit, signed zeros and all.
+    # self-Gram takes the mirror path; density 0.6 and 1.0 both sit above
+    # the dense-panel crossover, so the native tier zero-fills the panel
+    # and accumulates only the upper triangle.  Each must reproduce the
+    # pure route bit for bit, signed zeros and all.
     rng = np.random.default_rng(44)
     for density in (0.6, 1.0):
         B = sp.random(90, 13, density=density, random_state=rng,
@@ -511,6 +513,180 @@ def test_gram_symmetric_dense_panel_parity():
         ref = kernels.gram_csc(B, B, tier="pure")
         got = kernels.gram_csc(B, B, tier="native")
         assert np.array_equal(ref.view(np.uint64), got.view(np.uint64))
+
+
+# -- dense-panel routes of gram_csc / schur_update_csc -----------------------
+
+@contextlib.contextmanager
+def _dense_calls():
+    """Count the dense-panel route calls made inside the block (the perf
+    counters record only while perf is enabled)."""
+    rec, prev, was = perf.PerfRecorder(), perf.get_recorder(), \
+        perf.is_enabled()
+    perf.enable(rec)
+    calls: dict = {}
+    try:
+        yield calls
+    finally:
+        for route in ("gram", "schur"):
+            calls[route] = rec.counters.get(
+                f"kernel_tier.{route}_dense_calls", 0.0)
+        perf.enable(prev)
+        if not was:
+            perf.disable()
+
+
+def _matrix(m, n, seed, fmt, *, idx=np.int32, density=0.95, zeros=False,
+            pow2=False, empty_rows=(), empty_cols=()):
+    """Canonical float64 CSR/CSC with ``idx`` index arrays.  ``zeros``
+    stores explicit +0.0 and -0.0 entries, ``pow2`` draws exact powers of
+    two (sums cancel exactly), ``empty_rows``/``empty_cols`` are left
+    without entries."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((m, n)) < density
+    mask[list(empty_rows), :] = False
+    mask[:, list(empty_cols)] = False
+    rows, cols = np.nonzero(mask)
+    if pow2:
+        vals = (2.0 ** rng.integers(-2, 3, rows.size)
+                * rng.choice([-1.0, 1.0], rows.size))
+    else:
+        vals = rng.standard_normal(rows.size)
+    if zeros:
+        pick = rng.random(rows.size) < 0.2
+        vals[pick] = 0.0
+        vals[pick & (rng.random(rows.size) < 0.5)] = -0.0
+    cls = sp.csr_matrix if fmt == "csr" else sp.csc_matrix
+    A = cls((vals, (rows, cols)), shape=(m, n))
+    A.indptr = A.indptr.astype(idx)
+    A.indices = A.indices.astype(idx)
+    return A
+
+
+def _gram_routes(B1, B2):
+    """Native gram_csc against pure, bit for bit; returns how many
+    dense-panel calls the native tier made."""
+    ref = kernels.gram_csc(B1, B2, tier="pure")
+    with _dense_calls() as calls:
+        got = kernels.gram_csc(B1, B2, tier="native")
+    assert np.array_equal(ref.view(np.uint64), got.view(np.uint64))
+    return calls["gram"]
+
+
+def _schur_routes(A22, F, A12, tol):
+    """Native schur_update_csc against pure, bit for bit; returns how
+    many dense-panel calls the native tier made."""
+    ref = kernels.schur_update_csc(A22, F, A12, tol=tol, tier="pure")
+    with _dense_calls() as calls:
+        got = kernels.schur_update_csc(A22, F, A12, tol=tol, tier="native")
+    _assert_bitwise_csc(ref, got)
+    return calls["schur"]
+
+
+@needs_native
+@pytest.mark.parametrize("idx", [np.int32, np.int64])
+@pytest.mark.parametrize("width", [1, 3, 13, 64])
+def test_gram_dense_route_parity(idx, width):
+    # widths and per-column entry counts off the 8/4 unroll, signed and
+    # explicit zeros, empty rows and columns; self- and cross-Gram
+    B1 = _matrix(47, width, 60 + width, "csc", idx=idx, zeros=True,
+                 empty_rows=(0, 5),
+                 empty_cols=(width - 1,) if width > 1 else ())
+    B2 = _matrix(47, width + 2, 61 + width, "csc", idx=idx, zeros=True,
+                 empty_rows=(5, 46), empty_cols=(0,))
+    assert _gram_routes(B1, B1) == 1
+    assert _gram_routes(B1, B2) == 1
+
+
+@needs_native
+def test_gram_dense_route_exact_cancellation():
+    # the lower half of B1 negates the upper half against identical B2
+    # rows: every total cancels to exactly 0.0, which must come out +0.0
+    H1 = _matrix(20, 9, 62, "csc", pow2=True)
+    H2 = _matrix(20, 11, 63, "csc", pow2=True)
+    B1 = sp.vstack([H1, -H1], format="csc")
+    B2 = sp.vstack([H2, H2], format="csc")
+    assert _gram_routes(B1, B2) == 1
+    got = kernels.gram_csc(B1, B2, tier="native")
+    assert not got.any() and not np.signbit(got).any()
+
+
+@needs_native
+def test_gram_dense_route_preconditions():
+    B1 = _matrix(40, 12, 64, "csc")
+    B2 = _matrix(40, 10, 65, "csc")
+    for bad in (np.inf, -np.inf, np.nan):
+        # v * 0.0 is NaN for a non-finite B1 value: sparse route
+        B = B1.copy()
+        B.data[3] = bad
+        assert _gram_routes(B, B2) == 0
+        assert _gram_routes(B, B) == 0
+        # a non-finite B2 value only meets present B1 entries: dense route
+        B = B2.copy()
+        B.data[7] = bad
+        assert _gram_routes(B1, B) == 1
+    # a duplicate entry in B2 would merge in the panel: sparse route
+    dup = sp.csc_matrix((np.array([1.5, -0.5, 2.0, 3.0]),
+                         np.array([1, 1, 0, 2]), np.array([0, 2, 4])),
+                        shape=(3, 2))
+    full = _matrix(3, 4, 66, "csc", density=1.0)
+    assert _gram_routes(full, dup) == 0
+
+
+@needs_native
+@pytest.mark.parametrize("idx", [np.int32, np.int64])
+@pytest.mark.parametrize("tol", [None, 0.0, 1e-3])
+def test_schur_dense_route_parity(idx, tol):
+    # n = 29 is off the unroll, k = 13 runs the 8-, 4- and 1-entry passes;
+    # signed and explicit zeros throughout, empty rows and columns
+    m, n, k = 37, 29, 13
+    A22 = _matrix(m, n, 70, "csr", idx=idx, density=0.7, zeros=True,
+                  empty_rows=(2,), empty_cols=(3,))
+    F = _matrix(m, k, 71, "csr", idx=idx, zeros=True, empty_rows=(4, 36))
+    A12 = _matrix(k, n, 72, "csr", idx=idx, zeros=True, empty_rows=(1,),
+                  empty_cols=(28,))
+    assert _schur_routes(A22, F, A12, tol) == 1
+
+
+@needs_native
+def test_schur_dense_route_cancellation_and_threshold_ties():
+    F = _matrix(30, 10, 73, "csr", pow2=True)
+    A12 = _matrix(10, 25, 74, "csr", pow2=True)
+    from repro.sparse.ops import csr_matmul_nosym
+    C = csr_matmul_nosym(F, A12)
+    # A22 equal to the product cancels every entry to exactly zero
+    assert _schur_routes(C.copy(), F, A12, 0.0) == 1
+    assert kernels.schur_update_csc(C.copy(), F, A12, tol=0.0,
+                                    tier="native").nnz == 0
+    # thresholds exactly on data values: |r| == tol is dropped
+    A22 = _matrix(30, 25, 75, "csr", pow2=True, density=0.5)
+    S = kernels.schur_update_csc(A22, F, A12, tol=None, tier="pure")
+    for tol in np.unique(np.abs(S.data))[:4]:
+        assert _schur_routes(A22, F, A12, float(tol)) == 1
+
+
+@needs_native
+def test_schur_dense_route_preconditions():
+    A22 = _matrix(30, 20, 76, "csr", density=0.8)
+    F = _matrix(30, 8, 77, "csr")
+    A12 = _matrix(8, 20, 78, "csr")
+    assert _schur_routes(A22, F, A12, 0.0) == 1
+    for bad in (np.inf, -np.inf, np.nan):
+        # v * 0.0 is NaN for a non-finite F value: sparse route
+        Fb = F.copy()
+        Fb.data[5] = bad
+        assert _schur_routes(A22, Fb, A12, 0.0) == 0
+        # a non-finite A12 value only meets present F entries, exactly as
+        # in the row-merge SpGEMM: dense route, same bits
+        Ab = A12.copy()
+        Ab.data[9] = bad
+        assert _schur_routes(A22, F, Ab, 1e-3) == 1
+    # a duplicate entry in A12 would merge in the panel: sparse route
+    Ad = A12.copy()
+    Ad.indices[1] = Ad.indices[0]
+    Ad.has_canonical_format = False
+    Ad.has_sorted_indices = False
+    assert _schur_routes(A22, F, Ad, 0.0) == 0
 
 
 # -- column gather -----------------------------------------------------------
@@ -728,6 +904,23 @@ def test_e2e_solver_tier_parity(cls, extra):
 
 
 @needs_native
+@pytest.mark.parametrize("cls,extra", [
+    (LU_CRTP, {}),
+    (ILUT_CRTP, {"mu": 1e-8}),
+])
+def test_e2e_filled_tier_parity(cls, extra):
+    # the Schur complement fills in: both dense-panel routes serve the
+    # native solve, which must still match the pure one bit for bit
+    A = suite_matrix("M2", scale=0.6)
+    common = dict(k=16, tol=1e-2, **extra)
+    r_pure = cls(kernel_tier="pure", **common).solve(A)
+    with _dense_calls() as calls:
+        r_nat = cls(kernel_tier="native", **common).solve(A)
+    assert calls["gram"] > 0 and calls["schur"] > 0
+    _assert_same_lu(r_pure, r_nat)
+
+
+@needs_native
 def test_e2e_randqb_tier_parity():
     A = _m2_analogue(150)
     common = dict(k=8, tol=1e-2, max_rank=48, seed=0,
@@ -741,6 +934,14 @@ def test_e2e_randqb_tier_parity():
                for a, b in zip(r_pure.history, r_nat.history))
 
 
+def _assert_same_spmd(r1, r2):
+    # SPMD LU/ILUT results are summary-only (no history, no factors):
+    # the rank, the convergence flag and the indicator bits carry parity
+    assert r1.rank == r2.rank
+    assert r1.converged == r2.converged
+    assert r1.indicator.hex() == r2.indicator.hex()
+
+
 @needs_native
 @pytest.mark.parametrize("method,kw", [
     ("lu", {}),
@@ -750,25 +951,28 @@ def test_spmd_tier_parity(method, kw):
     A = _m2_analogue(150)
     r_pure = run_spmd_solver(method, A, 2, k=8, tol=1e-2, max_rank=48,
                              kernel_tier="pure", **kw)
-    r_nat = run_spmd_solver(method, A, 2, k=8, tol=1e-2, max_rank=48,
-                            kernel_tier="native", **kw)
+    # threads backend: the ranks share this process's perf counters
+    with _dense_calls() as calls:
+        r_nat = run_spmd_solver(method, A, 2, k=8, tol=1e-2, max_rank=48,
+                                kernel_tier="native", backend="threads",
+                                **kw)
     assert r_nat.kernel_tier == "native"
-    assert len(r_pure.history) == len(r_nat.history)
-    assert all(a.indicator == b.indicator
-               for a, b in zip(r_pure.history, r_nat.history))
+    assert calls["gram"] > 0 and calls["schur"] > 0
+    _assert_same_spmd(r_pure, r_nat)
 
 
 @needs_native
 def test_spmd_tier_parity_under_sanitizers(monkeypatch):
     from repro.parallel import sanitize
     monkeypatch.setenv(sanitize.ENV_VAR, "1")
-    A = _m2_analogue(120)
-    r_pure = run_spmd_solver("lu", A, 2, k=8, tol=1e-2, max_rank=32,
+    A = _m2_analogue(150)
+    r_pure = run_spmd_solver("lu", A, 2, k=8, tol=1e-2, max_rank=48,
                              kernel_tier="pure")
-    r_nat = run_spmd_solver("lu", A, 2, k=8, tol=1e-2, max_rank=32,
-                            kernel_tier="native")
-    assert all(a.indicator == b.indicator
-               for a, b in zip(r_pure.history, r_nat.history))
+    with _dense_calls() as calls:
+        r_nat = run_spmd_solver("lu", A, 2, k=8, tol=1e-2, max_rank=48,
+                                kernel_tier="native", backend="threads")
+    assert calls["gram"] > 0 and calls["schur"] > 0
+    _assert_same_spmd(r_pure, r_nat)
 
 
 # -- CLI ---------------------------------------------------------------------
