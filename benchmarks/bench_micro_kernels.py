@@ -21,10 +21,20 @@ root (the committed copy documents the speedups on the reference machine):
                           ``csr_matmul_nosym`` route; native = the fully
                           fused ``schur_update_csc`` dispatch;
 - ``gram_filled`` / ``gram_sparse`` — a self-Gram plus a cross-Gram of
-                          64-column CSC panels through ``kernels.gram_csc``
+                          64-column CSC panels, one two-pair
+                          ``kernels.gram_csc`` batch over their columns
                           (pure on both columns), at density 0.9 (native
                           = dense-panel route) and 0.05 (below the
                           crossover: native = sparse transpose route);
+- ``qr_tp_service`` / ``qr_tp_filled`` — a whole column tournament
+                          (``repro.pivoting.qr_tp``, one Gram dispatch per
+                          tree level) on a service-shaped sparse matrix
+                          (``suite_matrix("M6", scale=0.8)``, k=16) and on
+                          a filled-in active matrix shaped like
+                          ``lu_fill``'s after four iterations (k=32); pure
+                          on both columns, native = native tier, timed
+                          alternately, with identical ``perm`` and
+                          ``r11_diag`` bits asserted;
 - ``schur_filled`` / ``schur_sparse`` — ``kernels.schur_update_csc`` on a
                           filled-in product (flop-bound ratio ~0.8:
                           native = dense-panel route) and on an unfilled
@@ -98,6 +108,8 @@ from repro import kernels  # noqa: E402
 from repro.core.ilut_crtp import ILUT_CRTP  # noqa: E402
 from repro.core.lu_crtp import LU_CRTP  # noqa: E402
 from repro.linalg.tsqr import tsqr  # noqa: E402
+from repro.matrices import suite_matrix  # noqa: E402
+from repro.pivoting import qr_tp  # noqa: E402
 from repro.sparse.ops import csr_matmul_nosym, permute, split_2x2  # noqa: E402
 from repro.sparse.spgemm import SpGEMMWorkspace  # noqa: E402
 from repro.sparse.thresholding import (apply_threshold_mask,  # noqa: E402
@@ -372,14 +384,13 @@ def bench_gram(quick: bool, repeats: int, native: bool,
     m = 400 if quick else 900
     density = 0.9 if filled else 0.05
     rng = np.random.default_rng(10)
-    B1 = sp.random(m, 64, density=density, random_state=rng, format="csc")
-    B2 = sp.random(m, 64, density=density, random_state=rng, format="csc")
-    B1.sort_indices()
-    B2.sort_indices()
+    A = sp.random(m, 128, density=density, random_state=rng, format="csc")
+    A.sort_indices()
+    # columns 0-63 are B1, 64-127 B2: one batch of B1^T B1 and B1^T B2
+    left, right = np.arange(64), np.arange(64, 128)
 
     def grams(tier):
-        return (kernels.gram_csc(B1, B1, tier=tier),
-                kernels.gram_csc(B1, B2, tier=tier))
+        return kernels.gram_csc(A, [left, left], [left, right], tier=tier)
 
     if native:
         t_pure, t_native = _mintime_pair(lambda: grams("pure"),
@@ -397,6 +408,45 @@ def bench_gram(quick: bool, repeats: int, native: bool,
                    for a, b in zip(ref, got)), "gram tiers disagree"
         calls = _dense_route_calls(lambda: grams("native"))
         assert calls["gram_dense_calls"] == (2.0 if filled else 0.0), calls
+        _add_native_tier(entry, t_native)
+    return entry
+
+
+def bench_qr_tp(quick: bool, repeats: int, native: bool,
+                filled: bool) -> dict:
+    """A whole column tournament: every match of a tree level gets its
+    Gram from one ``kernels.gram_csc`` dispatch, then Cholesky and QRCP.
+    The service-shaped matrix keeps every Gram on the sparse route; the
+    filled one (density 0.8, like ``lu_fill``'s active matrix from its
+    fourth iteration) puts them on the dense-panel route."""
+    if filled:
+        n, k = (400 if quick else 772), 32
+        rng = np.random.default_rng(12)
+        A = sp.random(n, n, density=0.8, random_state=rng, format="csc")
+        A.sort_indices()
+        shape = f"{n}x{n} d=0.8, k={k}"
+    else:
+        A, k = suite_matrix("M6", scale=0.8).tocsc(), 16
+        A.sort_indices()
+        shape = f"M6 scale 0.8 ({A.shape[0]}x{A.shape[1]}), k={k}"
+
+    def tp(tier):
+        return qr_tp(A, k, tier=tier)
+
+    if native:
+        t_pure, t_native = _mintime_pair(lambda: tp("pure"),
+                                         lambda: tp("native"), repeats)
+    else:
+        t_pure = _mintime(lambda: tp("pure"), repeats)
+    entry = {"before_s": t_pure, "after_s": t_pure,
+             "detail": f"qr_tp on {shape}; pure tier on both columns, "
+                       "native = native tier (one Gram dispatch per tree "
+                       "level, same pivots)"}
+    if native:
+        ref, got = tp("pure"), tp("native")
+        assert np.array_equal(ref.perm, got.perm), "qr_tp tiers disagree"
+        assert ref.r11_diag.tobytes() == got.r11_diag.tobytes(), \
+            "qr_tp r11 bits disagree"
         _add_native_tier(entry, t_native)
     return entry
 
@@ -637,6 +687,10 @@ def run(quick: bool) -> dict:
                                   filled=True),
         "gram_sparse": bench_gram(quick, max(repeats, 9), native,
                                   filled=False),
+        "qr_tp_service": bench_qr_tp(quick, max(repeats, 5), native,
+                                     filled=False),
+        "qr_tp_filled": bench_qr_tp(quick, max(repeats, 5), native,
+                                    filled=True),
         "schur_filled": bench_schur_filled(quick, max(repeats, 9), native,
                                            filled=True),
         "schur_sparse": bench_schur_filled(quick, max(repeats, 9), native,

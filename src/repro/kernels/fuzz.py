@@ -20,7 +20,10 @@ results, with adversarial input families the hand-picked pins under-run:
   (``boundary32``);
 - filled-in operands at density 0.9-1.0 (``filled``), which put
   ``gram_csc`` and ``schur_update_csc`` on their dense-panel routes
-  while the sparser families keep them below the crossovers.
+  while the sparser families keep them below the crossovers;
+  ``gram_csc`` cases are batches of column-id pairs (empty lists, single
+  and repeated ids, self-Grams) whose routes can differ within one
+  call.
 
 Failures are **minimized** (greedy shrink over the generating
 parameters, re-checked after every step) and saved as ``.npz``
@@ -213,15 +216,52 @@ def generate(spec: CaseSpec) -> dict:
     variant = (spec.case // len(PATTERNS)) % 3
     if k == "gram_csc":
         B1 = _sparse(spec, rng, spec.m, spec.n, "csc")
-        if variant == 0:
-            return {"B1": B1, "B2": B1}  # identity => symmetric path
-        return {"B1": B1, "B2": _sparse(spec, rng, spec.m, spec.k, "csc")}
+        # identity => the whole batch reads B1 alone
+        B2 = B1 if variant == 0 else _sparse(spec, rng, spec.m, spec.k,
+                                              "csc")
+        return {"B1": B1, "B2": B2, "pairs": _gram_pairs(rng, B1, B2)}
     if k == "schur_update_csc":
         return {"A22": _sparse(spec, rng, spec.m, spec.n, "csr"),
                 "F": _sparse(spec, rng, spec.m, spec.k, "csr"),
                 "A12": _sparse(spec, rng, spec.k, spec.n, "csr"),
                 "tol": (None, 0.0, 1e-3)[variant]}
     raise ValueError(f"unknown kernel {k!r}")
+
+
+def _gram_pairs(rng: np.random.Generator, B1, B2) -> list:
+    """A batch of column-id pairs over ``[B1 | B2]`` (``B1`` alone when
+    aliased), JSON-ready: ``[left, right]`` id lists, ``right`` ``None``
+    for a self-Gram.  The first pair is the whole-panel Gram (``B1^T B1``
+    or ``B1^T B2``); up to three more draw random subsets — empty lists,
+    single columns, repeated ids — that mix routes within one batch."""
+    c1 = B1.shape[1]
+    ncols = c1 if B2 is B1 else c1 + B2.shape[1]
+    pairs: list = ([[list(range(c1)), None]] if B2 is B1 else
+                   [[list(range(c1)), list(range(c1, ncols))]])
+    for _ in range(int(rng.integers(0, 4))):
+        lo, ro = (rng.integers(0, ncols, int(rng.integers(0, 6))).tolist()
+                  if ncols else [] for _ in range(2))
+        pairs.append([lo, None if rng.random() < 0.3 else ro])
+    return pairs
+
+
+def gram_batch(inputs: dict):
+    """``(A, left, right)`` of a ``gram_csc`` case: ``A`` concatenates
+    the panels entry for entry in stored order (``B1``'s index dtype)."""
+    B1, B2 = inputs["B1"], inputs["B2"]
+    if B2 is B1:
+        A = B1
+    else:
+        idx = B1.indices.dtype
+        A = sp.csc_matrix((B1.shape[0], B1.shape[1] + B2.shape[1]))
+        A.data = np.concatenate([B1.data, B2.data])
+        A.indices = np.concatenate([B1.indices, B2.indices]).astype(idx)
+        A.indptr = np.concatenate(
+            [B1.indptr, B2.indptr[1:] + B1.indptr[-1]]).astype(idx)
+    left = [np.asarray(lo, dtype=np.int64) for lo, _ in inputs["pairs"]]
+    right = [lo if ro is None else np.asarray(ro, dtype=np.int64)
+             for lo, (_, ro) in zip(left, inputs["pairs"])]
+    return A, left, right
 
 
 def _copy_inputs(inputs: dict) -> dict:
@@ -261,7 +301,7 @@ def run_kernel(inputs: dict, kernel: str, tier: str):
     if kernel == "gather_columns":
         return tiers.gather_columns(i["A"], i["cols"], tier=tier)
     if kernel == "gram_csc":
-        return tiers.gram_csc(i["B1"], i["B2"], tier=tier)
+        return tiers.gram_csc(*gram_batch(i), tier=tier)
     if kernel == "schur_update_csc":
         return tiers.schur_update_csc(i["A22"], i["F"], i["A12"],
                                       tol=i["tol"], tier=tier)

@@ -23,8 +23,9 @@ counterpart (see the parity pins in ``tests/test_kernel_tiers.py``):
 - :func:`csr_to_csc` / :func:`csc_to_csr` ≡ scipy ``tocsc()``/``tocsr()``
 - :func:`gather_columns`   ≡ the general gather path of
   ``repro.sparse.ops.extract_columns``
-- :func:`gram_csc`         ≡ ``repro.linalg.cholqr._cross_gram_kernel``
-  (a filled-in panel takes a dense-panel route with the same bits)
+- :func:`gram_csc`         ≡ ``repro.kernels.pure.gram_csc`` (general
+  gather + ``repro.linalg.cholqr._cross_gram_kernel`` per pair; a
+  filled-in pair takes a dense-panel route with the same bits)
 - :func:`schur_diff_csc`   ≡ ``(A - C).tocsc()`` + ``drop_explicit_zeros``
 - :func:`schur_update_csc` ≡ ``repro.kernels.pure.schur_update_csc``
   (row-merge SpGEMM + :func:`schur_diff_csc`, or a dense-panel route
@@ -108,15 +109,10 @@ _ABI: dict[str, tuple[str | None, tuple[str, ...]]] = {
                             "IDX*", "IDX*", "f64*")),
     "rk_gather_cols": ("i64", ("i64", "IDX*", "IDX*", "f64*", "i64*",
                                "i64*", "IDX*", "f64*")),
-    "rk_gram": (None, ("i64", "i64", "i64",
-                       "IDX*", "IDX*", "f64*",
-                       "IDX*", "IDX*", "f64*",
-                       "f64*", "i64",
-                       "i64*", "i64*", "f64*")),
-    "rk_gram_dense": ("i64", ("i64", "i64", "i64",
+    "rk_gram_batch": ("i64", ("i64", "i64", "i64",
                               "IDX*", "IDX*", "f64*",
-                              "IDX*", "IDX*", "f64*",
-                              "f64*", "i64", "f64*")),
+                              "i64*", "i64*", "f64*",
+                              "i64*", "i64*", "f64*", "i64", "f64*")),
     "rk_schur_diff": ("i64", ("i64", "i64",
                               "IDX*", "IDX*", "f64*",
                               "IDX*", "IDX*", "f64*",
@@ -126,7 +122,8 @@ _ABI: dict[str, tuple[str | None, tuple[str, ...]]] = {
                                "IDX*", "IDX*", "f64*",
                                "IDX*", "IDX*", "f64*",
                                "IDX*", "IDX*", "f64*",
-                               "f64*", "f64*", "f64*", "IDX*", "f64")),
+                               "f64*", "i64*", "f64*", "f64*", "IDX*",
+                               "f64")),
     "rk_schur_dense_emit": (None, ("i64", "i64", "f64*",
                                    "IDX*", "IDX*", "f64*")),
 }
@@ -560,48 +557,83 @@ def gather_columns(A, cols):
 _GRAM_DENSE_MIN = 0.2
 
 
-def gram_csc(B1, B2, workspace=None):
-    """Dense ``B1.T @ B2`` for canonical CSC panels (pure contract:
-    ``repro.linalg.cholqr._cross_gram_kernel``).  Two routes with the
-    same bits: a filled-in ``B2`` is zero-filled into a dense panel and
-    accumulated in contiguous loops (``rk_gram_dense``); otherwise the
-    kernel accumulates straight out of an internal counting-sort
-    transpose of ``B2`` (``rk_gram``) instead of the pure route's
-    per-call ``tocsr`` + ``sort_indices`` + index upcasts."""
+def gram_csc(A, left, right, workspace=None):
+    """One dense ``A[:, left[p]].T @ A[:, right[p]]`` per pair, read in
+    place from canonical float64 CSC ``A`` by column id (pure contract:
+    :func:`repro.kernels.pure.gram_csc`).  One C call serves the whole
+    batch.  Each pair keeps its own route: filled-in right columns are
+    zero-filled into a dense panel and accumulated in contiguous loops,
+    the rest accumulate straight out of a counting-sort transpose — the
+    same bits either way.  ``right[p] is left[p]`` marks a self-Gram
+    (upper triangle computed, lower mirrored)."""
     from ...sparse.spgemm import SpGEMMWorkspace
+    from ..pure import check_gram_pairs
 
     lib = load()
-    m, c1 = B1.shape
-    if lib is None or B2.shape[0] != m \
-            or B1.data.dtype != np.float64 or B2.data.dtype != np.float64 \
-            or B1.indices.dtype != B1.indptr.dtype \
-            or B2.indices.dtype != B2.indptr.dtype \
-            or B1.indices.dtype != B2.indices.dtype \
-            or np.dtype(B1.indices.dtype) not in (np.dtype(np.int32),
-                                                  np.dtype(np.int64)):
-        from ...linalg.cholqr import _cross_gram_kernel
-        return _cross_gram_kernel(B1, B2)
-    c2 = B2.shape[1]
-    nnz2 = int(B2.indptr[-1])
+    if lib is None or A.data.dtype != np.float64 \
+            or A.indices.dtype != A.indptr.dtype \
+            or np.dtype(A.indices.dtype) not in (np.dtype(np.int32),
+                                                 np.dtype(np.int64)):
+        from ..pure import gram_csc as _pure_gram
+        return _pure_gram(A, left, right)
+    m, n = A.shape
+    check_gram_pairs(left, right)
+    # one row of the kernel's int64 pair table per pair (gram_impl.inc):
+    # left offset, c1, right offset, c2, output offset, right-column
+    # entries (filled in below), flags (1 self-Gram; 2 dense requested,
+    # set below; 4 dense ran, set by the kernel)
+    parts, rows = [], []
+    pos = off = 0
+    for lo, ro in zip(left, right):
+        c1 = len(lo)
+        parts.append(lo)
+        lpos, pos = pos, pos + c1
+        if ro is lo:
+            rows.append((lpos, c1, lpos, c1, off, 0, 1))
+        else:
+            parts.append(ro)
+            rows.append((lpos, c1, pos, len(ro), off, 0, 0))
+            pos += len(ro)
+        off += c1 * rows[-1][3]
+    if not rows:
+        return []
+    ids = (np.concatenate(parts).astype(np.int64, copy=False) if pos
+           else np.zeros(0, dtype=np.int64))
+    if pos and (ids.min() < 0 or ids.max() >= n):
+        raise IndexError(f"column id out of range for {n} columns")
+    meta = np.array(rows, dtype=np.int64)
+    npairs = len(rows)
+    # stored entries of every pair's right columns, from A's column counts
+    cs = np.zeros(pos + 1, dtype=np.int64)
+    np.cumsum(A.indptr[ids + 1] - A.indptr[ids], out=cs[1:])
+    c2s = meta[:, 3]
+    nnz2 = meta[:, 5]
+    nnz2[:] = cs[meta[:, 2] + c2s] - cs[meta[:, 2]]
+    dense = (nnz2 > 0) & (nnz2 >= _GRAM_DENSE_MIN * m * c2s)
+    meta[:, 6] |= 2 * dense
+    out = np.empty(off, dtype=np.float64)
     if workspace is None:
         workspace = SpGEMMWorkspace()
-    C = np.empty((c1, c2), dtype=np.float64)
-    # self-Gram: B1^T B1 is exactly symmetric (IEEE multiplication is
-    # commutative and both triangles accumulate the same products in the
-    # same row order), so the kernel mirrors the upper triangle
-    sym = B1 is B2 or (B1.data is B2.data and B1.indices is B2.indices
-                       and B1.indptr is B2.indptr)
-    suffix = _idx_suffix(B1.indices.dtype)
-    args = (m, c1, c2, B1.indptr, B1.indices, B1.data,
-            B2.indptr, B2.indices, B2.data, C, int(sym))
-    if nnz2 and nnz2 >= _GRAM_DENSE_MIN * m * c2:
-        dense = getattr(lib, "rk_gram_dense" + suffix)
-        if dense(*args, workspace.panel_buffer(m * c2)):
-            perf.incr("kernel_tier.gram_dense_calls")
-            return C
-    tp, tj, tx = workspace.gram_buffers(m, nnz2)
-    getattr(lib, "rk_gram" + suffix)(*args, tp, tj, tx)
-    return C
+    sparse_nnz = nnz2[~dense]
+    tp, tj, tx = workspace.gram_buffers(
+        m, int(sparse_nnz.max()) if sparse_nnz.size else 0)
+    panel = workspace.panel_buffer(
+        m * int(c2s[dense].max()) if dense.any() else 0)
+    fn = getattr(lib, "rk_gram_batch" + _idx_suffix(A.indices.dtype))
+    p = 0
+    while True:
+        p = int(fn(m, npairs, p, A.indptr, A.indices, A.data, ids, meta,
+                   out, tp, tj, tx, tj.size, panel))
+        if p == npairs:
+            break
+        # a requested dense route failed its precondition and the pair
+        # needs more sparse scratch than the batch was sized for
+        tp, tj, tx = workspace.gram_buffers(m, int(nnz2[p]))
+    ndense = int(np.count_nonzero(meta[:, 6] & 4))
+    if ndense:
+        perf.incr("kernel_tier.gram_dense_calls", ndense)
+    return [out[o:o + c1 * c2].reshape(c1, c2)
+            for _, c1, _, c2, o, _, _ in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -654,6 +686,8 @@ def schur_diff_csc(A, C, tol: float, workspace=None):
                  C.indptr.astype(idx, copy=False),
                  C.indices.astype(idx, copy=False), C.data,
                  Dp, Dj, Dx, mark, sums, float(tol)))
+    if nnz < 0:
+        return None  # A's rows not strictly ascending: scipy sums them
     if np.dtype(idx) != out_idx:
         Dp = Dp.astype(out_idx)
         Dj = Dj[:nnz].astype(out_idx)
@@ -695,7 +729,7 @@ def _schur_dense(lib, A22, F, A12, tol: float, workspace):
               F.indices.astype(out_idx, copy=False))
     Bp, Bj = (A12.indptr.astype(out_idx, copy=False),
               A12.indices.astype(out_idx, copy=False))
-    _, arow, _ = workspace.matmat_buffers(n)
+    mark, arow, _ = workspace.matmat_buffers(n)
     # the m x n block is per call: with flop bound >= m*n (checked by the
     # caller) it is never larger than the sparse route's product arrays
     R = np.empty(m * n, dtype=np.float64)
@@ -703,7 +737,7 @@ def _schur_dense(lib, A22, F, A12, tol: float, workspace):
     suffix = _idx_suffix(out_idx)
     nnz = int(getattr(lib, "rk_schur_dense" + suffix)(
         m, n, k, Ap, Aj, A22.data, Fp, Fj, F.data, Bp, Bj, A12.data,
-        workspace.panel_buffer(k * n), arow, R, Sp, float(tol)))
+        workspace.panel_buffer(k * n), mark, arow, R, Sp, float(tol)))
     if nnz < 0:
         return None
     Si = np.empty(nnz, dtype=out_idx)

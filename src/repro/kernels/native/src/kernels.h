@@ -178,35 +178,22 @@ RK_EXPORT int64_t rk_gather_cols_i64(
     const int64_t *Ap, const int64_t *Ai, const double *Ax,
     const int64_t *cols, int64_t *Bp, int64_t *Bi, double *Bx);
 
-/* Half-work mirrored self-Gram / cross-Gram on CSC blocks
- * (gram_impl.inc). */
-RK_EXPORT void rk_gram_i32(
-    int64_t m, int64_t c1, int64_t c2,
-    const int32_t *B1p, const int32_t *B1i, const double *B1x,
-    const int32_t *B2p, const int32_t *B2i, const double *B2x,
-    double *C, int64_t sym,
-    int64_t *tp, int64_t *tj, double *tx);
-RK_EXPORT void rk_gram_i64(
-    int64_t m, int64_t c1, int64_t c2,
-    const int64_t *B1p, const int64_t *B1i, const double *B1x,
-    const int64_t *B2p, const int64_t *B2i, const double *B2x,
-    double *C, int64_t sym,
-    int64_t *tp, int64_t *tj, double *tx);
+/* Batched Gram products A[:, l]^T @ A[:, r] read from CSC A by column
+ * id, per-pair sparse or dense-panel route; returns the first pair left
+ * undone (npairs when all are done) (gram_impl.inc). */
+RK_EXPORT int64_t rk_gram_batch_i32(
+    int64_t m, int64_t npairs, int64_t p0,
+    const int32_t *Ap, const int32_t *Ai, const double *Ax,
+    const int64_t *ids, int64_t *meta, double *C,
+    int64_t *tp, int64_t *tj, double *tx, int64_t cap, double *P);
+RK_EXPORT int64_t rk_gram_batch_i64(
+    int64_t m, int64_t npairs, int64_t p0,
+    const int64_t *Ap, const int64_t *Ai, const double *Ax,
+    const int64_t *ids, int64_t *meta, double *C,
+    int64_t *tp, int64_t *tj, double *tx, int64_t cap, double *P);
 
-/* Dense-panel route of the Gram for a filled-in B2; returns 0 without
- * writing C when a precondition fails (gram_impl.inc). */
-RK_EXPORT int64_t rk_gram_dense_i32(
-    int64_t m, int64_t c1, int64_t c2,
-    const int32_t *B1p, const int32_t *B1i, const double *B1x,
-    const int32_t *B2p, const int32_t *B2i, const double *B2x,
-    double *C, int64_t sym, double *P);
-RK_EXPORT int64_t rk_gram_dense_i64(
-    int64_t m, int64_t c1, int64_t c2,
-    const int64_t *B1p, const int64_t *B1i, const double *B1x,
-    const int64_t *B2p, const int64_t *B2i, const double *B2x,
-    double *C, int64_t sym, double *P);
-
-/* Fused Schur update difference, D = A - C with drop tol
+/* Fused Schur update difference, D = A - C with drop tol; returns -1
+ * when A's column indices do not strictly ascend within a row
  * (schur_impl.inc). */
 RK_EXPORT int64_t rk_schur_diff_i32(
     int64_t n_row, int64_t n_col,
@@ -229,13 +216,15 @@ RK_EXPORT int64_t rk_schur_dense_i32(
     const int32_t *Ap, const int32_t *Aj, const double *Ax,
     const int32_t *Fp, const int32_t *Fj, const double *Fx,
     const int32_t *Bp, const int32_t *Bj, const double *Bx,
-    double *P, double *arow, double *R, int32_t *Sp, double tol);
+    double *P, int64_t *mark, double *arow, double *R, int32_t *Sp,
+    double tol);
 RK_EXPORT int64_t rk_schur_dense_i64(
     int64_t m, int64_t n, int64_t k,
     const int64_t *Ap, const int64_t *Aj, const double *Ax,
     const int64_t *Fp, const int64_t *Fj, const double *Fx,
     const int64_t *Bp, const int64_t *Bj, const double *Bx,
-    double *P, double *arow, double *R, int64_t *Sp, double tol);
+    double *P, int64_t *mark, double *arow, double *R, int64_t *Sp,
+    double tol);
 RK_EXPORT void rk_schur_dense_emit_i32(
     int64_t m, int64_t n, const double *R,
     const int32_t *Sp, int32_t *Si, double *Sx);

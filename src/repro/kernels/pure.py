@@ -53,12 +53,37 @@ def gather_columns(A, cols):
                    (A.shape[0], cols.size))
 
 
-def gram_csc(B1, B2, workspace=None):
-    """Dense ``B1.T @ B2`` of canonical float64 CSC panels (the
-    ``_cross_gram_kernel`` route of :mod:`repro.linalg.cholqr`)."""
+def check_gram_pairs(left, right) -> None:
+    """The pair lists of :func:`gram_csc` must have one entry each per
+    pair."""
+    if len(left) != len(right):
+        raise ValueError(f"gram_csc needs one right id list per left one "
+                         f"(got {len(left)} and {len(right)})")
+
+
+def _column_ids(ids, n: int) -> np.ndarray:
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise IndexError(f"column id out of range for {n} columns")
+    return ids
+
+
+def gram_csc(A, left, right, workspace=None):
+    """One dense ``A[:, left[p]].T @ A[:, right[p]]`` per pair of column
+    id lists, for canonical float64 CSC ``A``: the general gather of
+    each panel, then the ``_cross_gram_kernel`` route of
+    :mod:`repro.linalg.cholqr` (a self-Gram, ``right[p] is left[p]``,
+    multiplies the one gathered panel by itself)."""
     del workspace
     from ..linalg.cholqr import _cross_gram_kernel
-    return _cross_gram_kernel(B1, B2)
+    check_gram_pairs(left, right)
+    n = A.shape[1]
+    out = []
+    for lo, ro in zip(left, right):
+        B1 = gather_columns(A, _column_ids(lo, n))
+        B2 = B1 if ro is lo else gather_columns(A, _column_ids(ro, n))
+        out.append(_cross_gram_kernel(B1, B2))
+    return out
 
 
 def schur_update_csc(A22, F, A12, tol: float | None = None,

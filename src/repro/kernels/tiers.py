@@ -2,8 +2,8 @@
 
 Two tiers serve the sparse hot-path kernels (row-merge SpGEMM — serial
 and OpenMP row-parallel — fused ILUT thresholding, the Schur index-window
-scatter/gather, CSR<->CSC conversion, the tournament column gather, the
-dense panel cross-Gram, the fused Schur difference, and the pivot argmin
+scatter/gather, CSR<->CSC conversion, the column gather, the batched
+by-column-id Gram, the fused Schur difference, and the pivot argmin
 scan):
 
 - ``pure``   — the existing NumPy/SciPy routes; always available and the
@@ -251,21 +251,25 @@ def csc_to_csr(A, *, tier: str | None = None):
 
 def gather_columns(A, cols, *, tier: str | None = None):
     """Column gather ``A[:, cols]`` of a canonical CSC matrix (the
-    tournament candidate exchange) — identical entries in identical
-    stored order across tiers."""
+    general path of ``repro.sparse.ops.extract_columns``) — identical
+    entries in identical stored order across tiers."""
     mod, _ = _impl(tier)
     return mod.gather_columns(A, cols)
 
 
-def gram_csc(B1, B2, *, tier: str | None = None, workspace=None):
-    """Dense ``B1.T @ B2`` of canonical float64 CSC panels — the panel
-    (cross-)Gram of the tournament QR selection, bitwise-identical
+def gram_csc(A, left, right, *, tier: str | None = None, workspace=None):
+    """Dense Gram products read from a canonical float64 CSC matrix by
+    column id: one ``A[:, left[p]].T @ A[:, right[p]]`` per pair, as a
+    list.  A pair whose two id lists are the same object is a self-Gram.
+    Every product equals the Gram of the gathered panels bit for bit,
     across tiers (and across the native tier's sparse and dense-panel
-    routes)."""
+    routes); the tournament passes every match of a tree level in one
+    call.  Ids outside ``[0, n)`` raise :class:`IndexError`."""
     mod, t = _impl(tier)
     if t == "native":
-        return mod.gram_csc(B1, B2, workspace=_thread_workspace(workspace))
-    return mod.gram_csc(B1, B2)
+        return mod.gram_csc(A, left, right,
+                            workspace=_thread_workspace(workspace))
+    return mod.gram_csc(A, left, right)
 
 
 def schur_update_csc(A22, F, A12, *, tol: float | None = None,

@@ -11,6 +11,13 @@ orthogonality to machine precision for condition numbers up to ~1e8.
 On numerical breakdown (Cholesky failure for rank-deficient blocks) we fall
 back to an eigendecomposition-based square root which always succeeds and
 flags the deficiency to the caller.
+
+The sparse Gram product itself is the kernel tier's
+:func:`repro.kernels.gram_csc`, which reads its operands from a CSC
+matrix by column id: :func:`_gram` passes one self-Gram pair covering the
+whole block, and the tournament (:mod:`repro.pivoting.tournament`) passes
+every match Gram of a tree level — leaf self-Grams and the cross terms
+``B1^T B2`` of sibling winners — in one call.
 """
 
 from __future__ import annotations
@@ -54,24 +61,11 @@ def _cross_gram_kernel(B1: sp.csc_matrix, B2: sp.csc_matrix) -> np.ndarray:
     return C
 
 
-def _gram_sparse_fast(B: sp.csc_matrix) -> np.ndarray | None:
-    """Exact-order ``(B.T @ B).toarray()`` without the symbolic pass.
-
-    scipy's ``B.T @ B`` runs ``csr_matmat_maxnnz`` (a full symbolic
-    multiply) just to size the output, then the numeric ``csr_matmat``.
-    For the Gram matrix the output is at most ``c x c`` — tiny — so we
-    preallocate ``c*c`` slots and call the numeric kernel directly.  The
-    accumulation order inside ``csr_matmat`` is identical to scipy's
-    operator, which keeps tournament pivot selection bitwise-reproducible
-    against the reference path.
-    """
-    return _cross_gram_kernel(B, B)
-
-
 def _gram(B, *, tier: str | None = None) -> np.ndarray:
     """Dense ``B^T B`` for sparse or dense ``B`` (result is tiny: c x c).
 
     Sparse float64 CSC operands dispatch through the kernel tier registry
+    as one self-Gram pair over all of ``B``'s columns
     (:func:`repro.kernels.gram_csc`) — native C kernel when ``tier``
     resolves to it, the ``csr_matmat`` route otherwise, bitwise-identical
     either way."""
@@ -80,7 +74,8 @@ def _gram(B, *, tier: str | None = None) -> np.ndarray:
             if _spt is not None and isinstance(B, sp.csc_matrix) \
                     and B.dtype == np.float64:
                 from .. import kernels
-                G = kernels.gram_csc(B, B, tier=tier)
+                ids = np.arange(B.shape[1])
+                G, = kernels.gram_csc(B, [ids], [ids], tier=tier)
             else:
                 G = (B.T @ B).toarray()
         else:
@@ -90,29 +85,6 @@ def _gram(B, *, tier: str | None = None) -> np.ndarray:
         perf.add_flops("gram", 2.0 * (B.nnz if sp.issparse(B) else B.size)
                        * G.shape[0])
     return G
-
-
-def cross_gram(B1, B2, *, tier: str | None = None) -> np.ndarray:
-    """Dense cross Gram block ``B1^T B2`` (``c1 x c2``), sparse operands.
-
-    Each entry accumulates ``sum_k B1[k, i] * B2[k, j]`` over ascending
-    ``k`` — the same per-entry order ``csr_matmat`` uses inside the full
-    Gram of ``[B1 | B2]``, so a parent tournament match can assemble its
-    Gram matrix from the children's diagonal blocks plus this cross term
-    and obtain a bitwise-identical matrix (products commute, the mirror
-    block is the exact transpose).
-    """
-    with perf.timer("gram"):
-        c1, c2 = B1.shape[1], B2.shape[1]
-        if _spt is not None and isinstance(B1, sp.csc_matrix) \
-                and isinstance(B2, sp.csc_matrix) \
-                and B1.dtype == np.float64 and B2.dtype == np.float64:
-            from .. import kernels
-            C = kernels.gram_csc(B1, B2, tier=tier)
-        else:
-            C = np.asarray((B1.T @ B2).toarray(), dtype=np.float64)
-        perf.add_flops("gram", 2.0 * min(B1.nnz * c2, B2.nnz * c1))
-    return C
 
 
 def gram_r_factor(B, *, jitter: float = 0.0,

@@ -13,7 +13,10 @@ assumes; in practice QRCP pivots almost always already satisfy them.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+from scipy.linalg import lapack as _lapack
 
 from .triangular import solve_upper
 
@@ -79,29 +82,54 @@ def qrcp(A: np.ndarray, k: int | None = None, *, want_q: bool = True,
          ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """QR with column pivoting, optionally truncated after ``k`` steps.
 
-    ``engine="lapack"`` dispatches to LAPACK's ``dgeqp3`` via scipy (the
-    fast path used by the tournament); ``engine="native"`` runs the
-    from-scratch Householder implementation below, which is the reference
-    the LAPACK path is tested against and the only path supporting true
-    truncated factorization (``k < min(m, n)`` skips trailing updates).
+    ``engine="lapack"`` dispatches to LAPACK's ``dgeqp3`` (the fast path
+    used by the tournament); ``engine="native"`` runs the from-scratch
+    Householder implementation below, which is the reference the LAPACK
+    path is tested against and the only path supporting true truncated
+    factorization (``k < min(m, n)`` skips trailing updates).
     """
     if engine == "lapack" and (k is None or k >= min(A.shape)):
-        import scipy.linalg as sla
         A = np.asarray(A, dtype=np.float64)
         if min(A.shape) == 0:
             return (np.zeros((A.shape[0], 0)) if want_q else None,
                     np.zeros((0, A.shape[1])), np.arange(A.shape[1]))
-        # check_finite=False skips scipy's asarray_chkfinite validation
-        # pass — no value changes, same LAPACK calls bit for bit; at ~500
-        # tournament leaf factorizations per solve the scan is real time
         if want_q:
+            import scipy.linalg as sla
+            # check_finite=False skips scipy's asarray_chkfinite scan —
+            # no value changes, same LAPACK calls bit for bit
             Q, R, piv = sla.qr(A, mode="economic", pivoting=True,
                                check_finite=False)
             return Q, R, piv.astype(np.intp)
-        R, piv = sla.qr(A, mode="r", pivoting=True, check_finite=False)
-        p = min(A.shape)
-        return None, np.ascontiguousarray(R[:p]), piv.astype(np.intp)
+        # R only: the routine scipy.linalg.qr(mode="r", pivoting=True)
+        # runs, called directly — same input, same lwork (scipy's own
+        # workspace query, cached per shape), so the same bits — without
+        # the wrapper's validation, per-call query and np.triu mask.  At
+        # hundreds of tournament matches per solve that glue cost more
+        # than the factorization.
+        m, n = A.shape
+        qr, jpvt, _, _, info = _lapack.dgeqp3(A, lwork=_geqp3_lwork(m, n))
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dgeqp3")
+        p = min(m, n)
+        R = np.where(_upper_mask(p, n), qr[:p], 0.0)
+        return None, R, jpvt.astype(np.intp) - 1
     return _qrcp_native(A, k, want_q=want_q)
+
+
+@lru_cache(maxsize=256)
+def _geqp3_lwork(m: int, n: int) -> int:
+    """The workspace size scipy's ``safecall`` queries for an ``m x n``
+    ``dgeqp3`` — the query depends on the shape only."""
+    _, _, _, work, _ = _lapack.dgeqp3(np.zeros((m, n)), lwork=-1)
+    return int(work[0].real)
+
+
+@lru_cache(maxsize=256)
+def _upper_mask(p: int, n: int) -> np.ndarray:
+    """``np.triu``'s mask for a ``p x n`` block, built once per shape."""
+    mask = ~np.tri(p, n, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def _qrcp_native(A: np.ndarray, k: int | None = None, *,

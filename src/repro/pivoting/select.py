@@ -10,7 +10,11 @@ keep the ``k`` winning columns.  Two execution strategies:
     on ``R``.  Pivot choices on ``R`` coincide with pivot choices on ``B``
     because QRCP decisions depend only on column norms of orthogonal
     projections, which ``R`` preserves.  This is what keeps QR_TP at the
-    paper's ``O(k^2 nnz)`` complexity (Section IV).
+    paper's ``O(k^2 nnz)`` complexity (Section IV).  The tournament
+    computes every match Gram of a tree level in one kernel dispatch and
+    passes it in with the candidates' column ids, so a match reads its
+    block only if the Cholesky factorization breaks down; a caller
+    without a Gram (a global SPMD round) gets one self-Gram dispatch.
 
 ``dense``
     Densify ``B`` and run QRCP directly — the numerically safest route, used
@@ -26,9 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ..linalg.cholqr import _gram, gram_r_factor
+from .. import kernels
+from ..linalg.cholqr import gram_r_factor
 from ..linalg.qrcp import qrcp, strong_rrqr
-from ..sparse.utils import nnz_of
+from ..sparse.ops import extract_columns
+from ..sparse.utils import ensure_csc, nnz_of
 
 
 @dataclass
@@ -50,6 +56,8 @@ class SelectionResult:
         True when the Gram route broke down and dense QRCP was used.
     flops:
         Estimated floating-point operations of this match (cost model).
+    nnz:
+        Stored entries of the candidate block (its size when dense).
     """
 
     order: np.ndarray
@@ -57,7 +65,7 @@ class SelectionResult:
     r_diag: np.ndarray
     used_fallback: bool
     flops: float
-    gram: np.ndarray | None = None
+    nnz: int = 0
 
     @property
     def winners(self) -> np.ndarray:
@@ -80,14 +88,18 @@ def selection_flops(nnz: int, c: int, *, method: str = "gram") -> float:
 
 def select_columns(B, k: int, *, method: str = "gram", strong: bool = False,
                    f: float = 2.0, gram: np.ndarray | None = None,
-                   keep_gram: bool = False,
+                   cols: np.ndarray | None = None,
                    tier: str | None = None) -> SelectionResult:
     """Select the ``k`` most linearly independent columns of ``B``.
 
     Parameters
     ----------
     B:
-        Sparse or dense block, shape ``(m, c)``.
+        Sparse or dense block, shape ``(m, c)`` — or, with ``cols``, the
+        matrix whose columns ``cols`` are the candidates (CSC when
+        sparse).  The block ``B[:, cols]`` is then gathered only where the
+        match needs it: the dense method, or a Gram breakdown that falls
+        back to dense QRCP.
     k:
         Number of winners; if ``k >= c`` all columns win in norm order.
     method:
@@ -97,14 +109,23 @@ def select_columns(B, k: int, *, method: str = "gram", strong: bool = False,
         bound ``f``.
     gram:
         Precomputed ``B^T B`` (``c x c``); skips the Gram product.  The
-        tournament driver assembles it from child matches' blocks.
-    keep_gram:
-        Return the Gram matrix on the result (``gram`` attribute) so the
-        caller can slice the winners' sub-Gram for the next round.
+        tournament driver assembles it from child matches' Grams.
+    cols:
+        Candidate column ids into ``B`` (see ``B``).
     tier:
         Kernel tier request for the Gram product (``repro.kernels``).
     """
-    m, c = B.shape
+    if cols is None:
+        c = B.shape[1]
+        nnz = nnz_of(B)
+    else:
+        cols = np.asarray(cols)
+        c = cols.size
+        if sp.issparse(B):
+            B = ensure_csc(B)
+            nnz = int((B.indptr[cols + 1] - B.indptr[cols]).sum())
+        else:
+            nnz = B.shape[0] * c
     if c == 0:
         return SelectionResult(np.zeros(0, dtype=np.intp), 0,
                                np.zeros(0), False, 0.0)
@@ -112,21 +133,21 @@ def select_columns(B, k: int, *, method: str = "gram", strong: bool = False,
     if method not in ("gram", "dense"):
         raise ValueError(f"unknown selection method {method!r}")
 
-    dense_input = not sp.issparse(B)
-    use_dense = method == "dense" or dense_input
+    use_dense = method == "dense" or not sp.issparse(B)
     fallback = False
-    G = None
     if not use_dense:
-        if gram is None and keep_gram:
-            gram = _gram(B, tier=tier)
+        if gram is None and cols is not None:
+            gram, = kernels.gram_csc(B, [cols], [cols], tier=tier)
         R, clean = gram_r_factor(B, gram=gram, tier=tier)
-        G = gram
         if clean:
-            small, flops = R, selection_flops(nnz_of(B), c, method="gram")
+            small, flops = R, selection_flops(nnz, c, method="gram")
         else:
             use_dense = True
             fallback = True
     if use_dense:
+        if cols is not None:
+            B = (extract_columns(B, cols, tier=tier) if sp.issparse(B)
+                 else np.asarray(B)[:, cols])
         small = B.toarray() if sp.issparse(B) else np.asarray(B, dtype=np.float64)
         flops = selection_flops(small.size, c, method="dense")
 
@@ -134,7 +155,6 @@ def select_columns(B, k: int, *, method: str = "gram", strong: bool = False,
         _, Rf, piv = strong_rrqr(small, k, f=f)
     else:
         _, Rf, piv = qrcp(small, want_q=False)
-    r_diag = np.abs(np.diag(Rf))
     return SelectionResult(order=np.asarray(piv, dtype=np.intp), k=k,
-                           r_diag=r_diag, used_fallback=fallback, flops=flops,
-                           gram=G if keep_gram else None)
+                           r_diag=np.abs(np.diag(Rf)), used_fallback=fallback,
+                           flops=flops, nnz=nnz)

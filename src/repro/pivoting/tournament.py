@@ -5,8 +5,21 @@ reduction tree.  Leaves hold (at most) ``2k`` contiguous columns each and
 select ``k`` local winners without any cross-leaf data movement — this is
 the *local* reduction stage, embarrassingly parallel.  Winners then compete
 pairwise up a binary tree (``log2(leaves)`` rounds — the *global* stage) or
-sequentially against an accumulator (flat tree).  The final match's winners
-are the global selection.
+sequentially against an accumulator (flat tree: a sequence of one-match
+rounds).  The final match's winners are the global selection.
+
+The tree is played level by level on column ids.  For a sparse matrix and
+the default ``gram`` selection, one :func:`repro.kernels.gram_csc` dispatch
+per level computes every match Gram straight from the matrix's CSC
+arrays: the leaf self-Grams at level 0, and above it only the cross terms
+``C = B1^T B2`` of sibling winner sets.  A parent match's Gram is
+assembled as ``[[G1, C], [C^T, G2]]`` from its children's winner
+sub-Grams: every Gram entry accumulates over ascending row index
+independently of the other columns, so the assembled matrix is bitwise
+identical to a from-scratch Gram of the merged block and pivot choices
+are exactly reproducible.  A match then runs only Cholesky, QRCP and
+bookkeeping; it gathers its candidate block only for the dense method or
+when the Cholesky factorization breaks down and dense QRCP takes over.
 
 The per-match statistics collected in :class:`TournamentStats` (stage,
 candidate nnz, flops) are exactly what the simulated-parallel layer needs:
@@ -21,9 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from ..linalg.cholqr import cross_gram
-from ..sparse.ops import extract_columns
-from ..sparse.utils import nnz_of, raw_csc
+from .. import kernels, perf
+from ..sparse.utils import ensure_csc
 from .select import select_columns
 
 
@@ -94,70 +106,44 @@ def _leaf_blocks(n: int, leaf_cols: int) -> list[np.ndarray]:
             for s in range(0, n, leaf_cols)]
 
 
-def _match(A, cand: np.ndarray, k: int, stage: str, stats: TournamentStats,
-           *, method: str, strong: bool, block=None,
-           gram: np.ndarray | None = None, keep_gram: bool = False,
-           tier: str | None = None):
-    """Run one match among candidate columns ``cand`` of ``A``.
-
-    Returns ``(winning global indices, |diag(R)|, winner sub-Gram)``; the
-    sub-Gram is ``None`` unless ``keep_gram``.  ``block`` and ``gram`` let
-    the tournament driver supply the candidate block / its Gram matrix when
-    it can build them cheaper than from scratch.
-    """
-    if block is None:
-        block = extract_columns(A, cand, tier=tier) if sp.issparse(A) \
-            else np.asarray(A)[:, cand]
-    sel = select_columns(block, k, method=method, strong=strong,
-                         gram=gram, keep_gram=keep_gram, tier=tier)
-    block_nnz = nnz_of(block)
-    stats.record(MatchRecord(stage=stage, candidates=len(cand), nnz=block_nnz,
-                             flops=sel.flops,
-                             bytes_exchanged=16 * block_nnz))
-    G_win = None
-    if sel.gram is not None:
-        wl = sel.order[:sel.k]
-        G_win = sel.gram[np.ix_(wl, wl)]
-    return cand[sel.winners], sel.r_diag, G_win
+def _level_grams(A: sp.csc_matrix, left: list, right: list,
+                 tier: str | None) -> list[np.ndarray]:
+    """Every match Gram of one tree level, ``A[:, l].T @ A[:, r]`` per
+    pair, in one kernel dispatch."""
+    with perf.timer("gram"):
+        grams = kernels.gram_csc(A, left, right, tier=tier)
+        if perf.is_enabled():
+            cnt = np.diff(A.indptr)
+            perf.add_flops("gram", sum(
+                2.0 * min(cnt[lo].sum() * len(ro), cnt[ro].sum() * len(lo))
+                for lo, ro in zip(left, right)))
+    return grams
 
 
-def _hstack_csc(B1: sp.csc_matrix, B2: sp.csc_matrix) -> sp.csc_matrix:
-    """Concatenate two canonical CSC blocks column-wise (entry-exact: the
-    result equals ``extract_columns(A, concat(cols1, cols2))`` bitwise)."""
-    idx_dtype = np.result_type(B1.indices.dtype, B2.indices.dtype)
-    indptr = np.concatenate([
-        B1.indptr.astype(idx_dtype, copy=False),
-        (B2.indptr[1:] + B1.indptr[-1]).astype(idx_dtype, copy=False)])
-    return raw_csc(
-        np.concatenate([B1.data, B2.data]),
-        np.concatenate([B1.indices.astype(idx_dtype, copy=False),
-                        B2.indices.astype(idx_dtype, copy=False)]),
-        indptr, (B1.shape[0], B1.shape[1] + B2.shape[1]))
+@dataclass
+class _Contender:
+    """Winners of a match: global column ids, and (gram route) the match
+    Gram with the winners' positions in it."""
+
+    ids: np.ndarray
+    gram: np.ndarray | None = None
+    pos: np.ndarray | None = None
+
+    def sub_gram(self) -> np.ndarray:
+        return self.gram.take(self.pos, 0).take(self.pos, 1)
 
 
-def _paired_match(A, w1, G1, w2, G2, k, stage, stats, *, method, strong,
-                  tier=None):
-    """Non-leaf match between two winner sets, reusing the children's
-    sub-Gram blocks.
-
-    The parent Gram is ``[[G1, C], [C^T, G2]]`` with only the cross term
-    ``C = B1^T B2`` computed fresh: every Gram entry accumulates over
-    ascending row index independently of the other columns, so the
-    assembled matrix is bitwise identical to a from-scratch Gram of the
-    merged block — pivot choices are exactly reproducible.
-    """
-    cand = np.concatenate([w1, w2])
-    if G1 is None or G2 is None or not sp.issparse(A):
-        return _match(A, cand, k, stage, stats, method=method, strong=strong,
-                      keep_gram=sp.issparse(A) and method == "gram",
-                      tier=tier)
-    B1 = extract_columns(A, w1, tier=tier)
-    B2 = extract_columns(A, w2, tier=tier)
-    C = cross_gram(B1, B2, tier=tier)
-    G = np.block([[G1, C], [C.T, G2]])
-    return _match(A, cand, k, stage, stats, method=method, strong=strong,
-                  block=_hstack_csc(B1, B2), gram=G, keep_gram=True,
-                  tier=tier)
+def _parent_gram(a: _Contender, b: _Contender, C: np.ndarray) -> np.ndarray:
+    """``[[G_a, C], [C^T, G_b]]`` assembled from the children's winner
+    sub-Grams and the cross term, entry for entry the values of
+    ``np.block``."""
+    c1, c2 = C.shape
+    G = np.empty((c1 + c2, c1 + c2))
+    G[:c1, :c1] = a.sub_gram()
+    G[:c1, c1:] = C
+    G[c1:, :c1] = C.T
+    G[c1:, c1:] = b.sub_gram()
+    return G
 
 
 def qr_tp(A, k: int, *, tree: str = "binary", leaf_cols: int | None = None,
@@ -181,8 +167,8 @@ def qr_tp(A, k: int, *, tree: str = "binary", leaf_cols: int | None = None,
     method, strong:
         Passed through to :func:`repro.pivoting.select.select_columns`.
     tier:
-        Kernel tier request threaded into every Gram product (matches and
-        cross terms); resolved once per solve by the callers.
+        Kernel tier request threaded into every Gram dispatch (one per
+        tree level); resolved once per solve by the callers.
     """
     m, n = A.shape
     if k <= 0:
@@ -192,47 +178,45 @@ def qr_tp(A, k: int, *, tree: str = "binary", leaf_cols: int | None = None,
         raise ValueError(f"unknown tree shape {tree!r}")
     stats = TournamentStats()
     leaf_cols = leaf_cols or max(2 * k, 1)
+    if sp.issparse(A):
+        A = ensure_csc(A)
+    use_gram = sp.issparse(A) and method == "gram"
+    r_diag = np.zeros(0)
+
+    def play(cands: list[np.ndarray], grams: list, stage: str
+             ) -> list[_Contender]:
+        nonlocal r_diag
+        out = []
+        for cand, G in zip(cands, grams):
+            sel = select_columns(A, k, method=method, strong=strong,
+                                 gram=G, cols=cand, tier=tier)
+            stats.record(MatchRecord(stage=stage, candidates=len(cand),
+                                     nnz=sel.nnz, flops=sel.flops,
+                                     bytes_exchanged=16 * sel.nnz))
+            out.append(_Contender(cand[sel.winners], G, sel.winners))
+            r_diag = sel.r_diag
+        return out
 
     leaves = _leaf_blocks(n, leaf_cols)
-    # non-leaf matches reuse the children's winner sub-Grams (only the
-    # cross term is recomputed) — only meaningful for the sparse gram route
-    reuse = sp.issparse(A) and method == "gram"
-    contenders: list[tuple[np.ndarray, np.ndarray | None]] = []
-    r_diag = np.zeros(0)
-    for leaf in leaves:
-        win, r_diag, Gw = _match(A, leaf, k, "leaf", stats,
-                                 method=method, strong=strong,
-                                 keep_gram=reuse and len(leaves) > 1,
-                                 tier=tier)
-        contenders.append((win, Gw))
-        if len(leaves) == 1:
-            break  # single leaf: the leaf match IS the final match
-
-    if tree == "flat":
-        acc, G_acc = contenders[0]
-        for t, (nxt, G_nxt) in enumerate(contenders[1:], start=1):
-            acc, r_diag, G_acc = _paired_match(
-                A, acc, G_acc, nxt, G_nxt, k, f"round{t}", stats,
-                method=method, strong=strong, tier=tier)
-        winners = acc
-    else:
-        level = contenders
-        t = 1
-        while len(level) > 1:
-            nxt_level: list[tuple[np.ndarray, np.ndarray | None]] = []
-            for i in range(0, len(level), 2):
-                if i + 1 < len(level):
-                    w1, G1 = level[i]
-                    w2, G2 = level[i + 1]
-                    win, r_diag, Gw = _paired_match(
-                        A, w1, G1, w2, G2, k, f"round{t}", stats,
-                        method=method, strong=strong, tier=tier)
-                    nxt_level.append((win, Gw))
-                else:
-                    nxt_level.append(level[i])  # bye
-            level = nxt_level
-            t += 1
-        winners = level[0][0]
+    level = play(leaves, _level_grams(A, leaves, leaves, tier) if use_gram
+                 else [None] * len(leaves), "leaf")
+    t = 1
+    while len(level) > 1:
+        # binary: every adjacent pair plays (an odd last one has a bye);
+        # flat: the accumulator plays the next leaf's winners
+        npairs = 1 if tree == "flat" else len(level) // 2
+        firsts, seconds = level[0:2 * npairs:2], level[1:2 * npairs:2]
+        cands = [np.concatenate([a.ids, b.ids])
+                 for a, b in zip(firsts, seconds)]
+        grams = [None] * npairs
+        if use_gram:
+            cross = _level_grams(A, [a.ids for a in firsts],
+                                 [b.ids for b in seconds], tier)
+            grams = [_parent_gram(a, b, C)
+                     for a, b, C in zip(firsts, seconds, cross)]
+        level = play(cands, grams, f"round{t}") + level[2 * npairs:]
+        t += 1
+    winners = level[0].ids
 
     perm = _winners_first(winners, n)
     return TournamentResult(perm=perm, winners=winners, r11_diag=r_diag,

@@ -61,7 +61,9 @@ def split_2x2(A: sp.spmatrix, k: int) -> tuple[sp.spmatrix, sp.spmatrix,
 
 def extract_columns(A: sp.spmatrix, cols: np.ndarray, *,
                     tier: str | None = None) -> sp.csc_matrix:
-    """Column gather ``A[:, cols]`` as CSC (tournament candidate exchange).
+    """Column gather ``A[:, cols]`` as CSC (a tournament match's candidate
+    block, which it needs only for the dense method or when its Gram
+    factorization breaks down).
 
     Contiguous ascending ranges — every tournament *leaf* block — take the
     CSC slice fast path (one indptr offset + one data copy).  The general
@@ -71,8 +73,7 @@ def extract_columns(A: sp.spmatrix, cols: np.ndarray, *,
     (validation-free) assembly, the native route one memcpy pair per
     column — identical entries in identical stored order to scipy's fancy
     indexing either way, without its per-call index validation and
-    constructor re-checks (which dominated tournament exchange time at
-    ~500 calls per solve).
+    constructor re-checks.
     """
     A = ensure_csc(A)
     cols = np.asarray(cols, dtype=np.intp)

@@ -29,7 +29,7 @@ from repro import kernels, perf
 from repro.core.ilut_crtp import ILUT_CRTP
 from repro.core.lu_crtp import LU_CRTP
 from repro.core.randqb_ei import RandQB_EI
-from repro.kernels import native, pure, tiers
+from repro.kernels import fuzz, native, pure, tiers
 from repro.kernels.native import build
 from repro.kernels.threads import blas_threads, set_blas_threads
 from repro.matrices.suite import suite_matrix
@@ -478,6 +478,22 @@ def test_kernel_threads_env(monkeypatch):
 
 # -- gram / fused Schur ------------------------------------------------------
 
+def _gram_pair(B1, B2):
+    """``(A, left, right)`` of the one-pair column-id Gram call that
+    computes ``B1.T @ B2``, built like a fuzz case: a self-Gram
+    (``B2 is B1``) passes one id list twice over ``B1`` itself; a
+    cross-Gram reads both panels out of ``A = [B1 | B2]``."""
+    c1 = B1.shape[1]
+    right = None if B2 is B1 else list(range(c1, c1 + B2.shape[1]))
+    return fuzz.gram_batch({"B1": B1, "B2": B2,
+                            "pairs": [[list(range(c1)), right]]})
+
+
+def _gram(B1, B2, tier):
+    G, = kernels.gram_csc(*_gram_pair(B1, B2), tier=tier)
+    return G
+
+
 @needs_native
 @pytest.mark.parametrize("seed", range(3))
 def test_gram_parity(seed):
@@ -488,11 +504,11 @@ def test_gram_parity(seed):
                    data_rvs=rng.standard_normal, format="csc")
     B1.sort_indices()
     B2.sort_indices()
-    ref = kernels.gram_csc(B1, B2, tier="pure")
-    got = kernels.gram_csc(B1, B2, tier="native")
+    ref = _gram(B1, B2, "pure")
+    got = _gram(B1, B2, "native")
     assert np.array_equal(ref.view(np.uint64), got.view(np.uint64))
-    refs = kernels.gram_csc(B1, B1, tier="pure")
-    gots = kernels.gram_csc(B1, B1, tier="native")
+    refs = _gram(B1, B1, "pure")
+    gots = _gram(B1, B1, "native")
     assert np.array_equal(refs.view(np.uint64), gots.view(np.uint64))
 
 
@@ -510,8 +526,8 @@ def test_gram_symmetric_dense_panel_parity():
         if B.nnz > 3:
             B.data[0] = 0.0
             B.data[1] = -0.0
-        ref = kernels.gram_csc(B, B, tier="pure")
-        got = kernels.gram_csc(B, B, tier="native")
+        ref = _gram(B, B, "pure")
+        got = _gram(B, B, "native")
         assert np.array_equal(ref.view(np.uint64), got.view(np.uint64))
 
 
@@ -566,9 +582,9 @@ def _matrix(m, n, seed, fmt, *, idx=np.int32, density=0.95, zeros=False,
 def _gram_routes(B1, B2):
     """Native gram_csc against pure, bit for bit; returns how many
     dense-panel calls the native tier made."""
-    ref = kernels.gram_csc(B1, B2, tier="pure")
+    ref = _gram(B1, B2, "pure")
     with _dense_calls() as calls:
-        got = kernels.gram_csc(B1, B2, tier="native")
+        got = _gram(B1, B2, "native")
     assert np.array_equal(ref.view(np.uint64), got.view(np.uint64))
     return calls["gram"]
 
@@ -607,7 +623,7 @@ def test_gram_dense_route_exact_cancellation():
     B1 = sp.vstack([H1, -H1], format="csc")
     B2 = sp.vstack([H2, H2], format="csc")
     assert _gram_routes(B1, B2) == 1
-    got = kernels.gram_csc(B1, B2, tier="native")
+    got = _gram(B1, B2, "native")
     assert not got.any() and not np.signbit(got).any()
 
 
@@ -631,6 +647,108 @@ def test_gram_dense_route_preconditions():
                         shape=(3, 2))
     full = _matrix(3, 4, 66, "csc", density=1.0)
     assert _gram_routes(full, dup) == 0
+
+
+def _gathered_gram(A, lo, ro):
+    """The Gram of scipy-gathered panels, through the pure route."""
+    from repro.linalg.cholqr import _cross_gram_kernel
+    B1 = A[:, np.asarray(lo, dtype=np.intp)]
+    return _cross_gram_kernel(
+        B1, B1 if ro is lo else A[:, np.asarray(ro, dtype=np.intp)])
+
+
+def _batch_routes(A, left, right, workspace=None):
+    """One batched call per tier, bit for bit against each other and
+    against the Gram of the gathered panels; returns the dense-panel
+    route count of the native call."""
+    ref = kernels.gram_csc(A, left, right, tier="pure")
+    with _dense_calls() as calls:
+        got = kernels.gram_csc(A, left, right, tier="native",
+                               workspace=workspace)
+    assert len(ref) == len(got) == len(left)
+    for lo, ro, a, b in zip(left, right, ref, got):
+        assert a.shape == b.shape == (len(lo), len(ro))
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        old = _gathered_gram(A, lo, ro)
+        assert np.array_equal(a.view(np.uint64), old.view(np.uint64))
+    return calls["gram"]
+
+
+@needs_native
+@pytest.mark.parametrize("idx", [np.int32, np.int64])
+def test_gram_batch_mixed_routes(idx):
+    # columns 0-19 sparse, 20-39 filled: a pair takes the dense-panel
+    # route exactly when its right columns are filled, in one batch
+    sparse_part = _matrix(50, 20, 80, "csc", idx=idx, density=0.05,
+                          zeros=True)
+    A = _gram_pair(sparse_part, _matrix(50, 20, 81, "csc", idx=idx,
+                                   density=0.95, zeros=True))[0]
+    assert A.indices.dtype == idx
+    lo, hi = np.arange(0, 20), np.arange(20, 40)
+    rng = np.random.default_rng(82)
+    mix = rng.permutation(40)[:13]
+    left = [lo, hi, lo, hi, mix, hi[::-1]]
+    right = [hi, lo, lo, hi, mix, hi[:9]]
+    # dense: (lo, hi), (hi, hi self), (hi[::-1], hi[:9]); mix is 13
+    # columns of which enough are filled to clear the crossover
+    dense_mix = int(np.diff(A.indptr)[mix].sum() >= 0.2 * 50 * 13)
+    assert _batch_routes(A, left, right) == 3 + dense_mix
+
+
+@needs_native
+def test_gram_batch_empty_single_and_repeated_ids():
+    A = _matrix(30, 12, 83, "csc", density=0.4, zeros=True)
+    empty = np.array([], dtype=np.intp)
+    one = np.array([7])
+    rep = np.array([5, 5, 0, 11, 5])
+    left = [empty, one, rep, empty, one, rep, [2, 3]]
+    right = [one, empty, rep, empty, one, one, [3, 2]]
+    right[2] = left[2]  # a self-Gram over repeated ids
+    # the per-pair crossover: filled right columns take the dense route
+    counts = np.diff(A.indptr)
+    dense = sum(int(counts[ro].sum() > 0
+                    and counts[ro].sum() >= 0.2 * 30 * len(ro))
+                for ro in right)
+    assert dense == 5
+    assert _batch_routes(A, left, right) == dense
+    for tier in ("pure", "native"):
+        assert kernels.gram_csc(A, [], [], tier=tier) == []
+        E = sp.csc_matrix((30, 0))
+        G, = kernels.gram_csc(E, [empty], [empty], tier=tier)
+        assert G.shape == (0, 0)
+
+
+@pytest.mark.parametrize("tier", ["pure", pytest.param(
+    "native", marks=needs_native)])
+def test_gram_batch_rejects_bad_ids(tier):
+    A = _matrix(20, 6, 84, "csc")
+    ok = np.arange(3)
+    for bad in ([0, 6], [-1, 2], [6]):
+        with pytest.raises(IndexError):
+            kernels.gram_csc(A, [ok, bad], [ok, ok], tier=tier)
+        with pytest.raises(IndexError):
+            kernels.gram_csc(A, [ok], [np.array(bad)], tier=tier)
+    with pytest.raises(ValueError):
+        kernels.gram_csc(A, [ok, ok], [ok], tier=tier)
+
+
+@needs_native
+def test_gram_batch_dense_fallback_grows_sparse_scratch():
+    # the filled pair asks for the dense route, but a non-finite left
+    # value sends it to the sparse route, which needs more transpose
+    # scratch than the batch's sparse pairs sized: the kernel stops at
+    # that pair, the wrapper grows the buffers and resumes
+    A = _matrix(120, 40, 85, "csc", density=1.0)
+    A.data[7] = np.inf
+    ws = SpGEMMWorkspace()
+    small = np.array([30])
+    left = [small, np.arange(0, 10), small]
+    right = [small, np.arange(10, 40), small]
+    assert _batch_routes(A, left, right, workspace=ws) == 2
+    # transpose buffers, panel, then the resume's larger transpose buffers
+    assert ws.grown == 4
+    assert _batch_routes(A, left, right, workspace=ws) == 2
+    assert ws.grown == 4  # the second batch reuses the scratch
 
 
 @needs_native
@@ -687,6 +805,48 @@ def test_schur_dense_route_preconditions():
     Ad.has_canonical_format = False
     Ad.has_sorted_indices = False
     assert _schur_routes(A22, F, Ad, 0.0) == 0
+
+
+def _noncanonical_a22(A22, how):
+    """``A22`` with row 1 holding a duplicate entry or its entries
+    stored out of order."""
+    A22 = A22.copy()
+    p0, p1 = int(A22.indptr[1]), int(A22.indptr[2])
+    assert p1 - p0 >= 2
+    if how == "duplicate":
+        A22.indices[p0 + 1] = A22.indices[p0]
+    else:
+        A22.indices[p0:p1] = A22.indices[p0:p1][::-1].copy()
+        A22.data[p0:p1] = A22.data[p0:p1][::-1].copy()
+    A22.has_canonical_format = False
+    A22.has_sorted_indices = False
+    return A22
+
+
+@needs_native
+@pytest.mark.parametrize("how", ["duplicate", "unsorted"])
+@pytest.mark.parametrize("tol", [None, 0.0])
+def test_schur_noncanonical_a22_parity(how, tol):
+    # scipy's binop sums a duplicate A22 entry before it subtracts; both
+    # native routes must agree with it bit for bit (the fused difference
+    # hands such an A22 to the scipy composition)
+    F = sp.csr_matrix(np.array([[1.0], [1.0]]))
+    A12 = sp.csr_matrix(np.array([[0.5, 0.25]]))
+    dup = sp.csr_matrix((np.array([1.0, 2.0, 3.0]), np.array([0, 0, 1]),
+                         np.array([0, 2, 3])), shape=(2, 2))
+    ref = kernels.schur_update_csc(dup, F, A12, tol=tol, tier="pure")
+    assert ref.toarray()[0, 0] == 2.5
+    _schur_routes(dup, F, A12, tol)
+    # sparse route (unfilled product) and dense-panel route (filled)
+    A22 = _matrix(40, 30, 86, "csr", density=0.3)
+    for F, A12, dense in (
+            (_matrix(40, 4, 87, "csr", density=0.05),
+             _matrix(4, 30, 88, "csr", density=0.05), False),
+            (_matrix(40, 8, 89, "csr"), _matrix(8, 30, 90, "csr"), True)):
+        bad = _noncanonical_a22(A22, how)
+        routes = _schur_routes(bad, F, A12, tol)
+        # an unsorted row without duplicates keeps the dense-panel route
+        assert routes == int(dense and how == "unsorted")
 
 
 # -- column gather -----------------------------------------------------------
