@@ -43,8 +43,12 @@ root (the committed copy documents the speedups on the reference machine):
                           four new rows time pure and native alternately;
 - ``thresholding``      — copying :func:`drop_small` vs the fused
                           mask-then-apply-in-place route;
-- ``pivot_scan``        — the colamd packed-key argmin-consume loop
-                          (tracked per tier; no pre-optimization route);
+- ``order_service`` / ``order_filled`` — the paper's column ordering
+                          (``kernels.colamd_postorder``: COLAMD, column
+                          etree, postorder) on the largest service_mix
+                          matrix (M6 at scale 0.8) and on lu_fill's M2;
+                          pure Python composition on both columns,
+                          native = one C call, same permutation;
 - ``tsqr``              — communication-avoiding tall-skinny QR (tracked
                           for drift; not changed by the optimization);
 - ``lu_crtp_e2e`` / ``ilut_crtp_e2e`` — full solves on the fill-in-heavy
@@ -186,25 +190,28 @@ def bench_spgemm(quick: bool, repeats: int, native: bool) -> dict:
     F.sort_indices()
     A12.sort_indices()
 
-    t_pure = _mintime(lambda: kernels.spgemm_csr(F, A12, tier="pure"),
-                      repeats)
-    entry = {"before_s": t_pure, "after_s": t_pure,
-             "detail": f"F({n}x64, d=0.20) @ A12(64x{n}, d=0.30); pure "
+    ws = SpGEMMWorkspace()
+
+    def product(tier):
+        return kernels.spgemm_csr(F, A12, tier=tier, workspace=ws)
+
+    entry = {"detail": f"F({n}x64, d=0.20) @ A12(64x{n}, d=0.30); pure "
                        "spgemm_csr (scipy kernel) on both columns, native "
                        "= serial C row-merge with a reused workspace"}
-    if native:
-        ws = SpGEMMWorkspace()
-        with _kernel_threads(1):
-            C = kernels.spgemm_csr(F, A12, tier="native", workspace=ws)
-            ref = F @ A12
-            assert (np.array_equal(C.indptr, ref.indptr)
-                    and np.array_equal(C.indices, ref.indices)
-                    and np.array_equal(C.data, ref.data)), \
-                "spgemm tiers disagree"
-            _add_native_tier(entry, _mintime(
-                lambda: kernels.spgemm_csr(F, A12, tier="native",
-                                           workspace=ws), repeats))
-    return entry
+    if not native:
+        t_pure = _mintime(lambda: product("pure"), repeats)
+        return dict(entry, before_s=t_pure, after_s=t_pure)
+    with _kernel_threads(1):
+        C = product("native")
+        ref = F @ A12
+        assert (np.array_equal(C.indptr, ref.indptr)
+                and np.array_equal(C.indices, ref.indices)
+                and np.array_equal(C.data, ref.data)), \
+            "spgemm tiers disagree"
+        t_pure, t_native = _mintime_pair(lambda: product("pure"),
+                                         lambda: product("native"), repeats)
+    return _add_native_tier(dict(entry, before_s=t_pure, after_s=t_pure),
+                            t_native)
 
 
 def bench_spgemm_parallel(quick: bool, repeats: int, native: bool) -> dict:
@@ -268,20 +275,26 @@ def bench_csr_to_csc(quick: bool, repeats: int, native: bool) -> dict:
     A = sp.random(n, n, density=0.05, random_state=rng, format="csr")
     A.sort_indices()
 
-    t_pure = _mintime(lambda: kernels.csr_to_csc(A, tier="pure"), repeats)
+    def convert(tier):
+        return kernels.csr_to_csc(A, tier=tier)
+
+    if native:
+        t_pure, t_native = _mintime_pair(lambda: convert("pure"),
+                                         lambda: convert("native"), repeats)
+    else:
+        t_pure = _mintime(lambda: convert("pure"), repeats)
     entry = {"before_s": t_pure, "after_s": t_pure,
              "detail": f"{n}x{n} d=0.05 CSR->CSC; scipy counting sort on "
                        "both columns, native = C counting sort (bitwise "
                        "identical, same index dtypes)"}
     if native:
-        got = kernels.csr_to_csc(A, tier="native")
+        got = convert("native")
         ref = A.tocsc()
         assert (np.array_equal(got.indptr, ref.indptr)
                 and np.array_equal(got.indices, ref.indices)
                 and np.array_equal(got.data, ref.data)), \
             "conversion tiers disagree"
-        _add_native_tier(entry, _mintime(
-            lambda: kernels.csr_to_csc(A, tier="native"), repeats))
+        _add_native_tier(entry, t_native)
     return entry
 
 
@@ -334,27 +347,31 @@ def bench_schur_update(quick: bool, repeats: int, native: bool) -> dict:
         _, A12, _, A22 = permuted_blocks(A, col_perm, row_perm, k)
         return (A22 - csr_matmul_nosym(Fd, A12)).tocsc()
 
+    ws2 = SpGEMMWorkspace()
+
+    def fused_native():
+        _, A12, _, A22 = kernels.permuted_blocks(
+            A, col_perm, row_perm, k, tier="native")
+        return kernels.schur_update_csc(A22, Fd, A12, tol=None,
+                                        tier="native", workspace=ws2)
+
     ref = reference()
     opt = fused()
     assert abs(ref - opt).max() == 0.0, "schur routes disagree"
-    entry = {"before_s": _mintime(reference, repeats),
-             "after_s": _mintime(fused, repeats),
+    before = _mintime(reference, repeats)
+    if native:
+        after, t_native = _mintime_pair(fused, fused_native, repeats)
+    else:
+        after = _mintime(fused, repeats)
+    entry = {"before_s": before, "after_s": after,
              "detail": f"M2-analogue n={n}, k={k}: permute+split+scipy-@ vs "
                        "index-window blocks + symbolic-free matmul; native "
                        "= fused schur_update_csc (C window scatter + "
                        "row-merge + one-pass diff/convert)"}
     if native:
-        ws2 = SpGEMMWorkspace()
-
-        def fused_native():
-            _, A12, _, A22 = kernels.permuted_blocks(
-                A, col_perm, row_perm, k, tier="native")
-            return kernels.schur_update_csc(A22, Fd, A12, tol=None,
-                                            tier="native", workspace=ws2)
-
         assert abs(ref - fused_native()).max() == 0.0, \
             "native schur route disagrees"
-        _add_native_tier(entry, _mintime(fused_native, repeats))
+        _add_native_tier(entry, t_native)
     return entry
 
 
@@ -537,40 +554,33 @@ def bench_thresholding(quick: bool, repeats: int, native: bool) -> dict:
     return entry
 
 
-def bench_pivot_scan(quick: bool, repeats: int, native: bool) -> dict:
-    """The colamd elimination loop's pivot selection: repeated first-minimum
-    argmin over a packed (degree, index) int64 key, retiring each winner
-    with a sentinel.  No pre-optimization route exists, so ``before_s`` ==
-    ``after_s`` (the pure np.argmin dispatch) and the native column carries
-    the comparison.  Sizes sit below the ``_PIVOT_SCAN_CAP`` crossover
-    (the regime the C scan actually serves; above it the native wrapper
-    delegates back to numpy's SIMD argmin)."""
-    n = 256 if quick else 512
-    rng = np.random.default_rng(6)
-    master = rng.integers(0, n * (n + 1), size=n, dtype=np.int64)
-    sent = np.iinfo(np.int64).max
+def bench_order(repeats: int, native: bool, service: bool) -> dict:
+    """The paper's column preprocessing (``kernels.colamd_postorder``):
+    COLAMD, the column etree of the permuted matrix and its postorder.
+    No pre-optimization route exists, so ``before_s`` == ``after_s`` (the
+    pure composition) and the native column carries the comparison.
+    ``service`` orders the largest service_mix matrix (M6 at scale 0.8),
+    otherwise lu_fill's M2, in quick mode too (the pure ordering of M6
+    takes ~0.13 s)."""
+    label, scale = ("M6", 0.8) if service else ("M2", 1.0)
+    A = suite_matrix(label, scale=scale)
 
-    def consume(tier: str) -> float:
-        key = master.copy()
-        t0 = time.perf_counter()
-        for _ in range(n):
-            kernels.pivot_argmin_consume(key, sent, tier=tier)
-        return time.perf_counter() - t0
+    def order(tier):
+        return kernels.colamd_postorder(A, tier=tier)
 
-    key_p, key_n = master.copy(), master.copy()
-    order_p = [kernels.pivot_argmin_consume(key_p, sent, tier="pure")
-               for _ in range(n)]
-    t = min(consume("pure") for _ in range(repeats))
-    entry = {"before_s": t, "after_s": t,
-             "detail": f"{n} consuming argmin scans over an n={n} packed "
-                       "int64 key (colamd pivot loop); pure np.argmin "
-                       "dispatch, native = branchless two-phase C scan"}
     if native:
-        order_n = [kernels.pivot_argmin_consume(key_n, sent, tier="native")
-                   for _ in range(n)]
-        assert order_p == order_n, "pivot tiers disagree"
-        _add_native_tier(entry, min(consume("native")
-                                    for _ in range(repeats)))
+        t_pure, t_native = _mintime_pair(lambda: order("pure"),
+                                         lambda: order("native"), repeats)
+    else:
+        t_pure = _mintime(lambda: order("pure"), repeats)
+    entry = {"before_s": t_pure, "after_s": t_pure,
+             "detail": f"{label} at scale {scale} ({A.shape[0]}x{A.shape[1]}, "
+                       f"nnz {A.nnz}); pure colamd + col_etree + postorder "
+                       "on both columns, native = one C call"}
+    if native:
+        assert np.array_equal(order("pure"), order("native")), \
+            "ordering tiers disagree"
+        _add_native_tier(entry, t_native)
     return entry
 
 
@@ -696,7 +706,8 @@ def run(quick: bool) -> dict:
         "schur_sparse": bench_schur_filled(quick, max(repeats, 9), native,
                                            filled=False),
         "thresholding": bench_thresholding(quick, max(repeats, 5), native),
-        "pivot_scan": bench_pivot_scan(quick, max(repeats, 5), native),
+        "order_service": bench_order(max(repeats, 5), native, service=True),
+        "order_filled": bench_order(max(repeats, 5), native, service=False),
         "tsqr": bench_tsqr(quick, max(repeats, 3)),
         # e2e columns gate in CI (--min-native-e2e); 3 quick repeats keep
         # the min-time stable enough for a >= 1.0 gate on shared runners

@@ -17,6 +17,7 @@ from .tiers import (
     TIERS,
     apply_threshold_mask,
     available_tiers,
+    colamd_postorder,
     csc_to_csr,
     csr_to_csc,
     gather_columns,
@@ -55,4 +56,5 @@ __all__ = [
     "gather_columns",
     "gram_csc",
     "schur_update_csc",
+    "colamd_postorder",
 ]

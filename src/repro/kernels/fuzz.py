@@ -17,7 +17,11 @@ results, with adversarial input families the hand-picked pins under-run:
 - extreme magnitudes including subnormals and near-overflow values
   (``extreme``);
 - int32 index dtype with row ids near the 2**31 boundary
-  (``boundary32``);
+  (``boundary32``); for ``colamd_postorder``, whose pure oracle needs
+  O(m) memory (a 2**31-row CSR indptr alone is 16 GiB), the family
+  instead puts row lengths at the kernel's own boundary: exactly
+  ``dense_cut`` and ``dense_cut + 1`` entries, next to empty, single and
+  full rows;
 - filled-in operands at density 0.9-1.0 (``filled``), which put
   ``gram_csc`` and ``schur_update_csc`` on their dense-panel routes
   while the sparser families keep them below the crossovers;
@@ -55,7 +59,7 @@ PATTERNS = ("uniform", "empty_rows", "dense_row", "cancel", "negzero",
 
 #: Kernels the harness covers, in dispatch-surface order.
 KERNELS = ("spgemm_csr", "threshold_mask", "apply_threshold_mask",
-           "permuted_blocks", "pivot_argmin_consume", "csr_to_csc",
+           "permuted_blocks", "colamd_postorder", "csr_to_csc",
            "csc_to_csr", "gather_columns", "gram_csc", "schur_update_csc")
 
 
@@ -166,6 +170,22 @@ def _boundary_csc(spec: CaseSpec, rng: np.random.Generator):
     return _with_idx(A, np.int32)
 
 
+def _dense_cut_rows(spec: CaseSpec, rng: np.random.Generator):
+    """CSC pattern whose rows straddle the ordering's dense-row cut: each
+    row holds 0, 1, ``cut - 1``, ``cut``, ``cut + 1`` or ``n`` entries
+    (``n >= 17``, so ``cut + 1 <= n``)."""
+    from ..ordering.colamd import dense_row_cut
+    m, n = max(spec.m, 1), max(spec.n, 17)
+    cut = dense_row_cut(n)
+    lengths = rng.choice(np.array([0, 1, cut - 1, cut, cut + 1, n]), m)
+    rows = np.repeat(np.arange(m), lengths)
+    cols = np.concatenate([rng.choice(n, size=int(c), replace=False)
+                           for c in lengths]).astype(np.int64)
+    A = sp.csc_matrix((_values(rng, rows.size, "uniform"), (rows, cols)),
+                      shape=(m, n))
+    return _with_idx(A, _idx_dtype(spec))
+
+
 def generate(spec: CaseSpec) -> dict:
     """Build the input dict for ``spec`` (deterministic in ``spec``)."""
     rng = spec.rng()
@@ -191,13 +211,10 @@ def generate(spec: CaseSpec) -> dict:
                 "col_perm": rng.permutation(n).astype(np.int64),
                 "row_perm": rng.permutation(m).astype(np.int64),
                 "k": int(rng.integers(1, min(m, n) + 1))}
-    if k == "pivot_argmin_consume":
-        size = spec.m * (211 if spec.pattern == "dense_row" else 1)
-        sentinel = np.iinfo(np.int64).max
-        key = rng.integers(-2**40, 2**40, size).astype(np.int64)
-        if size:
-            key[rng.random(size) < 0.3] = sentinel
-        return {"key": key, "sentinel": int(sentinel)}
+    if k == "colamd_postorder":
+        if spec.pattern == "boundary32":
+            return {"A": _dense_cut_rows(spec, rng)}
+        return {"A": _sparse(spec, rng, spec.m, spec.n, "csc")}
     if k == "csr_to_csc":
         return {"A": _sparse(spec, rng, spec.m, spec.n, "csr")}
     if k == "csc_to_csr":
@@ -291,9 +308,8 @@ def run_kernel(inputs: dict, kernel: str, tier: str):
     if kernel == "permuted_blocks":
         return tiers.permuted_blocks(i["active"], i["col_perm"],
                                      i["row_perm"], i["k"], tier=tier)
-    if kernel == "pivot_argmin_consume":
-        v = tiers.pivot_argmin_consume(i["key"], i["sentinel"], tier=tier)
-        return (v, i["key"])  # winner slot is consumed in place
+    if kernel == "colamd_postorder":
+        return tiers.colamd_postorder(i["A"], tier=tier)
     if kernel == "csr_to_csc":
         return tiers.csr_to_csc(i["A"], tier=tier)
     if kernel == "csc_to_csr":

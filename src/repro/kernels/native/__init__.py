@@ -19,7 +19,6 @@ counterpart (see the parity pins in ``tests/test_kernel_tiers.py``):
 - :func:`threshold_mask` / :func:`apply_threshold_mask`
                            ≡ ``repro.sparse.thresholding`` pair
 - :func:`permuted_blocks`  ≡ ``repro.sparse.window.permuted_blocks``
-- :func:`pivot_argmin_consume` ≡ ``int(np.argmin(key))`` + sentinel store
 - :func:`csr_to_csc` / :func:`csc_to_csr` ≡ scipy ``tocsc()``/``tocsr()``
 - :func:`gather_columns`   ≡ the general gather path of
   ``repro.sparse.ops.extract_columns``
@@ -30,6 +29,8 @@ counterpart (see the parity pins in ``tests/test_kernel_tiers.py``):
 - :func:`schur_update_csc` ≡ ``repro.kernels.pure.schur_update_csc``
   (row-merge SpGEMM + :func:`schur_diff_csc`, or a dense-panel route
   with the same bits once the product fills in)
+- :func:`colamd_postorder` ≡ ``repro.kernels.pure.colamd_postorder``
+  (COLAMD, column etree and postorder in one call, same permutation)
 """
 
 from __future__ import annotations
@@ -50,15 +51,6 @@ _INT32_MAX = np.iinfo(np.int32).max
 _lock = threading.Lock()
 _lib: ctypes.CDLL | None = None
 _load_attempted = False
-
-# raw (void*-typed) binding of the pivot scan plus a one-slot cache of the
-# last key array's data pointer: the colamd loop calls the scan thousands
-# of times on the *same* array, and ctypes ndpointer validation would cost
-# several times the scan itself.  The cached tuple holds a strong
-# reference to the array, so the identity test can never alias a
-# recycled object.
-_pivot_raw = None
-_pivot_cache: tuple | None = None
 
 
 def _ptr(dtype):
@@ -82,7 +74,6 @@ def _ptr(dtype):
 _ABI: dict[str, tuple[str | None, tuple[str, ...]]] = {
     "rk_openmp_enabled": ("i64", ()),
     "rk_thresh_mask": ("i64", ("f64*", "i64", "f64", "u8*", "f64*", "&f64")),
-    "rk_pivot_argmin_consume": ("i64", ("i64*", "i64", "i64")),
     "rk_spgemm": ("i64", ("i64", "i64",
                           "IDX*", "IDX*", "f64*",
                           "IDX*", "IDX*", "f64*",
@@ -126,6 +117,8 @@ _ABI: dict[str, tuple[str | None, tuple[str, ...]]] = {
                                "f64")),
     "rk_schur_dense_emit": (None, ("i64", "i64", "f64*",
                                    "IDX*", "IDX*", "f64*")),
+    "rk_colamd_postorder": ("i64", ("i64", "i64", "i64", "IDX*", "IDX*",
+                                    "i64*", "i64", "i64*")),
 }
 
 _SCALAR_CTYPES = {"i64": ctypes.c_int64, "f64": ctypes.c_double}
@@ -162,10 +155,6 @@ def _bind(lib: ctypes.CDLL) -> None:
             fn = getattr(lib, name + suffix)
             fn.restype = restype
             fn.argtypes = [_ctype(tok, idt) for tok in args]
-    global _pivot_raw
-    i64 = ctypes.c_int64
-    proto = ctypes.CFUNCTYPE(i64, ctypes.c_void_p, i64, i64)
-    _pivot_raw = proto(("rk_pivot_argmin_consume", lib))
 
 
 def _sanitize_load_error(path, profiles: tuple[str, ...]) -> str | None:
@@ -261,12 +250,10 @@ def cached_build_exists() -> bool:
 
 def reset() -> None:
     """Forget the memoized load (tests re-probe after monkeypatching)."""
-    global _lib, _load_attempted, _pivot_raw, _pivot_cache
+    global _lib, _load_attempted
     with _lock:
         _lib = None
         _load_attempted = False
-        _pivot_raw = None
-        _pivot_cache = None
         _cache_probe.clear()
 
 
@@ -786,22 +773,42 @@ def schur_update_csc(A22, F, A12, tol: float | None = None,
     return S
 
 
-#: above this many keys numpy's SIMD argmin beats the C scan — both routes
-#: return the identical pivot, so crossing over is a pure perf guard
-_PIVOT_SCAN_CAP = 1024
+# ---------------------------------------------------------------------------
+# column ordering (COLAMD + column-etree postorder)
+# ---------------------------------------------------------------------------
+
+def _order_scratch(m: int, n: int, nnz: int) -> int:
+    """int64 scratch slots of ``rk_colamd_postorder`` (``ord_scratch`` in
+    order.c; the kernel refuses a shorter buffer)."""
+    return 2 * m + 2 * (m + n) + 3 * nnz + 17 * n
 
 
-def pivot_argmin_consume(key: np.ndarray, sentinel: int) -> int:
-    """First-minimum argmin over an int64 key array; the winner's slot is
-    overwritten with ``sentinel`` (the colamd scan-route step)."""
-    global _pivot_cache
+def colamd_postorder(A):
+    """The paper's preprocessing permutation of ``A``'s columns — COLAMD,
+    then the postorder of the column etree of ``A[:, p1]`` — in one C
+    call that reads ``A``'s CSC index arrays in place (pure contract:
+    :func:`repro.kernels.pure.colamd_postorder`; no floating point, so
+    the permutation is the same).  Patterns outside the kernel contract
+    (duplicate entries, index dtypes other than int32/int64) take the
+    pure route."""
+    from ...ordering.colamd import dense_row_cut
+    from ...sparse.utils import ensure_csc
+    from ..pure import colamd_postorder as _pure_order
+
     lib = load()
-    if lib is None or key.dtype != np.int64 or key.size == 0 \
-            or key.size > _PIVOT_SCAN_CAP or not key.flags.c_contiguous:
-        v = int(np.argmin(key))
-        key[v] = sentinel
-        return v
-    cache = _pivot_cache
-    if cache is None or cache[0] is not key:
-        _pivot_cache = cache = (key, key.ctypes.data)
-    return int(_pivot_raw(cache[1], key.size, int(sentinel)))
+    A = ensure_csc(A, dtype=None)
+    m, n = A.shape
+    idx = A.indices.dtype
+    if lib is None or A.indptr.dtype != idx \
+            or np.dtype(idx) not in (np.dtype(np.int32), np.dtype(np.int64)):
+        return _pure_order(A)
+    ws = np.empty(_order_scratch(m, n, int(A.indptr[-1])), dtype=np.int64)
+    perm = np.empty(n, dtype=np.int64)
+    fn = getattr(lib, "rk_colamd_postorder" + _idx_suffix(idx))
+    status = int(fn(m, n, dense_row_cut(n), A.indptr, A.indices, ws,
+                    ws.size, perm))
+    if status == -1:
+        return _pure_order(A)  # duplicate entries: pure counts each one
+    if status != 0:
+        raise RuntimeError(f"rk_colamd_postorder failed with status {status}")
+    return perm.astype(np.intp, copy=False)

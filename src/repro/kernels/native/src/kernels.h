@@ -82,10 +82,6 @@ RK_EXPORT int64_t rk_thresh_mask(
     const double *data, int64_t nnz, double mu,
     unsigned char *mask, double *dropped, double *dmax);
 
-/* Tournament/colamd pivot argmin scan (pivot.c). */
-RK_EXPORT int64_t rk_pivot_argmin_consume(
-    int64_t *key, int64_t n, int64_t sentinel);
-
 /* Row-merge SpGEMM, C = A @ B on canonical CSR (spgemm_impl.inc). */
 RK_EXPORT int64_t rk_spgemm_i32(
     int64_t n_row, int64_t n_col,
@@ -231,5 +227,18 @@ RK_EXPORT void rk_schur_dense_emit_i32(
 RK_EXPORT void rk_schur_dense_emit_i64(
     int64_t m, int64_t n, const double *R,
     const int64_t *Sp, int64_t *Si, double *Sx);
+
+/* COLAMD ordering + postorder of the column elimination tree of a CSC
+ * pattern in one call; returns 0, -1 for a pattern outside the contract
+ * (duplicate or unsorted entries), -2 for short scratch
+ * (order_impl.inc). */
+RK_EXPORT int64_t rk_colamd_postorder_i32(
+    int64_t m, int64_t n, int64_t dense_cut,
+    const int32_t *Ap, const int32_t *Ai,
+    int64_t *ws, int64_t nws, int64_t *perm);
+RK_EXPORT int64_t rk_colamd_postorder_i64(
+    int64_t m, int64_t n, int64_t dense_cut,
+    const int64_t *Ap, const int64_t *Ai,
+    int64_t *ws, int64_t nws, int64_t *perm);
 
 #endif /* REPRO_KERNELS_H */

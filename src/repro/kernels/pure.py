@@ -115,3 +115,17 @@ def pivot_argmin_consume(key: np.ndarray, sentinel: int) -> int:
     v = int(np.argmin(key))
     key[v] = sentinel
     return v
+
+
+def colamd_postorder(A):
+    """The paper's preprocessing permutation: ``p1 = colamd(A)``, then the
+    postorder ``p2`` of the column etree of ``A[:, p1]``; returns
+    ``p1[p2]``."""
+    from ..ordering.colamd import colamd
+    from ..ordering.etree import col_etree, postorder
+    from ..sparse.utils import ensure_csc
+    p1 = colamd(A)
+    Ap = ensure_csc(A)[:, p1]
+    parent = col_etree(Ap)
+    p2 = postorder(parent)
+    return p1[p2]

@@ -3,8 +3,8 @@
 Two tiers serve the sparse hot-path kernels (row-merge SpGEMM — serial
 and OpenMP row-parallel — fused ILUT thresholding, the Schur index-window
 scatter/gather, CSR<->CSC conversion, the column gather, the batched
-by-column-id Gram, the fused Schur difference, and the pivot argmin
-scan):
+by-column-id Gram, the fused Schur difference, and the COLAMD +
+column-etree postorder ordering):
 
 - ``pure``   — the existing NumPy/SciPy routes; always available and the
   default, so ``PYTHONPATH=src pytest`` never gains a build step.
@@ -217,9 +217,21 @@ def permuted_blocks(active, col_perm, row_perm, k: int, *,
 
 def pivot_argmin_consume(key, sentinel: int, *,
                          tier: str | None = None) -> int:
-    """First-minimum argmin over an int64 key; winner slot <- sentinel."""
+    """First-minimum argmin over an int64 key; winner slot <- sentinel.
+    The pure ``colamd``'s pivot step; numpy's argmin serves both tiers
+    (the native tier orders in one :func:`colamd_postorder` call)."""
+    del tier
+    return pure.pivot_argmin_consume(key, sentinel)
+
+
+def colamd_postorder(A, *, tier: str | None = None):
+    """The paper's column preprocessing permutation: COLAMD, then the
+    postorder of the column elimination tree of the COLAMD-permuted
+    matrix, as one ``intp`` permutation vector.  The ordering is integer
+    work only, so both tiers return the same permutation; the native
+    tier runs all three steps in one C call."""
     mod, _ = _impl(tier)
-    return mod.pivot_argmin_consume(key, sentinel)
+    return mod.colamd_postorder(A)
 
 
 def _timed_convert(fn, A):

@@ -6,7 +6,9 @@ pipeline from scratch:
 
 - :mod:`repro.ordering.colamd` — column approximate-minimum-degree ordering
   on the quotient graph of ``A^T A`` (rows of ``A`` as initial elements).
-- :mod:`repro.ordering.etree` — column elimination tree and postorder.
+- :mod:`repro.ordering.etree` — column elimination tree and postorder, and
+  :func:`colamd_preprocess`, the whole pipeline on the kernel tier (the
+  native tier runs it in one C call, same permutation).
 - :mod:`repro.ordering.rcm` — reverse Cuthill-McKee (ablation comparator).
 """
 

@@ -12,6 +12,12 @@ absorption — and omits the engineering refinements of the reference code
 (supercolumn detection, aggressive absorption, dense-row windowing).  It is
 ``O(nnz * avg_degree)``-ish in practice, fine for the matrix sizes this
 library targets, and is exercised against fill-in reduction tests.
+
+This module is the pure route and the parity oracle.  Solvers order through
+:func:`repro.ordering.etree.colamd_preprocess`, whose native tier runs the
+same elimination (the same dense-row rule, degrees, pivot pairs and
+absorption) plus the etree postorder in one C call
+(``repro.kernels.colamd_postorder``) and returns the same permutation.
 """
 
 from __future__ import annotations
@@ -34,8 +40,13 @@ _SCAN_CUTOFF = 32768
 _ADJ_DENSE_CELLS = 2**25
 
 
-def colamd(A: sp.spmatrix, *, dense_row_frac: float = 0.5,
-           kernel_tier: str | None = None) -> np.ndarray:
+def dense_row_cut(n: int, dense_row_frac: float = 0.5) -> int:
+    """Largest row length that still makes a row an element of the
+    quotient graph of an ``n``-column matrix; longer rows are dense."""
+    return max(16, int(dense_row_frac * n))
+
+
+def colamd(A: sp.spmatrix, *, dense_row_frac: float = 0.5) -> np.ndarray:
     """Compute a COLAMD-style column permutation of ``A``.
 
     Parameters
@@ -46,9 +57,6 @@ def colamd(A: sp.spmatrix, *, dense_row_frac: float = 0.5,
         Rows with more than ``dense_row_frac * n`` entries are ignored when
         building the quotient graph (they would couple almost all columns and
         only add noise to the degrees); they are standard to drop in COLAMD.
-    kernel_tier:
-        Kernel tier request for the pivot argmin scan (``None`` = auto);
-        both tiers select identical pivots.
 
     Returns
     -------
@@ -70,7 +78,7 @@ def colamd(A: sp.spmatrix, *, dense_row_frac: float = 0.5,
     # Variables have no direct var-var edges initially (all A^T A edges come
     # from shared rows), and the elimination process never creates them:
     # eliminating v only creates a new element.
-    dense_cut = max(16, int(dense_row_frac * n))
+    dense_cut = dense_row_cut(n, dense_row_frac)
     indptr, indices = R.indptr, R.indices
     row_len = np.diff(indptr)
     keep = (row_len > 0) & (row_len <= dense_cut)
@@ -160,12 +168,11 @@ def colamd(A: sp.spmatrix, *, dense_row_frac: float = 0.5,
     perm: list[int] = []
     heappop = heapq.heappop
     heappush = heapq.heappush
-    from ..kernels import pivot_argmin_consume, resolve_tier
-    tier = resolve_tier(kernel_tier) if use_scan else "pure"
+    from ..kernels import pivot_argmin_consume
 
     while len(perm) < n:
         if use_scan:
-            v = pivot_argmin_consume(key, _SENT, tier=tier)
+            v = pivot_argmin_consume(key, _SENT, tier="pure")
         else:
             d, v = heappop(heap)
             if eliminated[v] or d != degree[v]:

@@ -6,6 +6,11 @@ The column elimination tree of ``A`` is the elimination tree of ``A^T A``;
 we compute it without forming ``A^T A`` using the classic path-compression
 algorithm (Davis, "Direct Methods for Sparse Linear Systems", cs_etree with
 ``ata=True``).
+
+:func:`col_etree` and :func:`postorder` are the pure route; the native tier
+of :func:`colamd_preprocess` runs the same walk (columns in COLAMD order,
+rows in stored order, the same path compression; children and roots in
+ascending order) inside its one C call.
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from .. import kernels
 from ..sparse.utils import ensure_csc
-from .colamd import colamd
 
 
 def col_etree(A: sp.spmatrix) -> np.ndarray:
@@ -86,12 +91,10 @@ def colamd_preprocess(A: sp.spmatrix, *,
     """The paper's full preprocessing permutation: COLAMD, then postorder of
     the column elimination tree of the COLAMD-permuted matrix.
 
-    Returns a single column permutation vector combining both steps.
-    ``kernel_tier`` selects the pivot-scan kernel tier (both tiers emit the
-    identical permutation).
+    Returns a single column permutation vector combining both steps — the
+    :func:`repro.kernels.colamd_postorder` dispatch on ``kernel_tier``.
+    Its pure tier composes :func:`~repro.ordering.colamd.colamd`,
+    :func:`col_etree` and :func:`postorder`; its native tier runs the same
+    three steps in one C call, with the same permutation.
     """
-    p1 = colamd(A, kernel_tier=kernel_tier)
-    Ap = ensure_csc(A)[:, p1]
-    parent = col_etree(Ap)
-    p2 = postorder(parent)
-    return p1[p2]
+    return kernels.colamd_postorder(A, tier=kernel_tier)

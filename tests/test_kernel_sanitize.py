@@ -157,6 +157,8 @@ def test_asan_load_refused_without_preload(monkeypatch):
 @needs_compiler
 def test_explicit_native_broken_build_raises_kernelbuilderror(
         tmp_path, monkeypatch):
+    # the closing ``auto`` check assumes no tier is forced from outside
+    monkeypatch.delenv("REPRO_KERNEL_TIER", raising=False)
     bad = tmp_path / "src"
     bad.mkdir()
     (bad / "broken.c").write_text("this is not C\n")

@@ -40,8 +40,6 @@ HAS_NATIVE = kernels.native_available()
 needs_native = pytest.mark.skipif(
     not HAS_NATIVE, reason="no C compiler / native kernel build unavailable")
 
-SENT = np.iinfo(np.int64).max
-
 
 @pytest.fixture(autouse=True)
 def tier_state():
@@ -291,42 +289,170 @@ def test_window_parity():
         _assert_bitwise_csr(sp.csr_matrix(P), sp.csr_matrix(N))
 
 
-@needs_native
-def test_pivot_parity_with_ties():
-    rng = np.random.default_rng(11)
-    for n in (1, 7, 64, 513):
-        master = rng.integers(0, 5, size=n, dtype=np.int64)  # many ties
-        kp, kn = master.copy(), master.copy()
-        for _ in range(n):
-            p = kernels.pivot_argmin_consume(kp, SENT, tier="pure")
-            q = kernels.pivot_argmin_consume(kn, SENT, tier="native")
-            assert p == q                    # first-minimum tie semantics
-        assert np.array_equal(kp, kn)
-        assert (kp == SENT).all()            # every winner retired
+# -- column ordering ---------------------------------------------------------
+
+@contextlib.contextmanager
+def _pure_order_calls(monkeypatch):
+    """Count the native ordering's hand-offs to the pure composition."""
+    calls = []
+    real = pure.colamd_postorder
+
+    def spy(A):
+        calls.append(A.shape)
+        return real(A)
+
+    monkeypatch.setattr(pure, "colamd_postorder", spy)
+    yield calls
+
+
+def _assert_same_order(A, monkeypatch):
+    ref = kernels.colamd_postorder(A, tier="pure")
+    with _pure_order_calls(monkeypatch) as handoffs:
+        got = kernels.colamd_postorder(A, tier="native")
+    assert not handoffs, "the native kernel handed the input to pure"
+    assert got.dtype == ref.dtype == np.intp
+    assert np.array_equal(got, ref)
+    return got
+
+
+def _pattern(m, n, rows, cols, idx=np.int32, values=None):
+    vals = np.ones(len(rows)) if values is None else values
+    A = sp.csc_matrix((vals, (rows, cols)), shape=(m, n))
+    A.indptr = A.indptr.astype(idx)
+    A.indices = A.indices.astype(idx)
+    return A
+
+
+def _rows_of_lengths(lengths, n, seed):
+    """A pattern whose row ``i`` holds ``lengths[i]`` random columns."""
+    rng = np.random.default_rng(seed)
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    cols = np.concatenate([rng.choice(n, size=c, replace=False)
+                           for c in lengths])
+    return rows, cols
 
 
 @needs_native
-def test_pivot_cap_delegates_to_numpy():
-    n = native._PIVOT_SCAN_CAP + 1
-    rng = np.random.default_rng(12)
-    master = rng.integers(0, n, size=n, dtype=np.int64)
-    kp, kn = master.copy(), master.copy()
-    assert (kernels.pivot_argmin_consume(kp, SENT, tier="pure")
-            == kernels.pivot_argmin_consume(kn, SENT, tier="native"))
-    assert np.array_equal(kp, kn)
+@pytest.mark.parametrize("label,scale", [("M2", 1.0)] + [
+    (label, scale) for label in ("M2", "M4", "M6")
+    for scale in (0.4, 0.6, 0.8)])
+def test_order_parity_suite(label, scale, monkeypatch):
+    # M2 is the lu_fill matrix before perfbench's permutation; the other
+    # nine are the service_mix matrices
+    _assert_same_order(suite_matrix(label, scale=scale), monkeypatch)
 
 
 @needs_native
-def test_pivot_identity_cache_survives_key_replacement():
-    # the native wrapper caches (array, data pointer); a *different* array
-    # of the same size must not be scanned through the stale pointer
-    rng = np.random.default_rng(13)
-    k1 = rng.integers(0, 1000, size=200, dtype=np.int64)
-    kernels.pivot_argmin_consume(k1, SENT, tier="native")
-    k2 = rng.integers(0, 1000, size=200, dtype=np.int64)
-    expect = int(np.argmin(k2))
-    assert kernels.pivot_argmin_consume(k2, SENT, tier="native") == expect
-    assert k2[expect] == SENT
+@pytest.mark.parametrize("idx", [np.int32, np.int64])
+@pytest.mark.parametrize("shape", [(200, 60), (60, 200), (120, 120)])
+def test_order_parity_rectangles_and_index_dtypes(shape, idx, monkeypatch):
+    rng = np.random.default_rng(sum(shape))
+    for density in (0.01, 0.05, 0.2):
+        A = sp.random(*shape, density=density, random_state=rng,
+                      format="csc")
+        A.indptr = A.indptr.astype(idx)
+        A.indices = A.indices.astype(idx)
+        _assert_same_order(A, monkeypatch)
+
+
+@needs_native
+def test_order_parity_empty_rows_and_columns(monkeypatch):
+    rng = np.random.default_rng(21)
+    A = sp.random(90, 70, density=0.08, random_state=rng, format="lil")
+    A[::3, :] = 0.0
+    A[:, ::4] = 0.0
+    A = A.tocsc()
+    A.eliminate_zeros()
+    assert np.any(np.diff(A.indptr) == 0)
+    assert np.any(np.bincount(A.indices, minlength=90) == 0)
+    _assert_same_order(A, monkeypatch)
+
+
+@needs_native
+@pytest.mark.parametrize("n", [20, 40, 64])
+def test_order_parity_at_the_dense_row_cut(n, monkeypatch):
+    from repro.ordering.colamd import dense_row_cut
+    cut = dense_row_cut(n)
+    lengths = [cut, cut + 1, 1, 2, cut, cut + 1, 3, 0, n, 2] * 4
+    rows, cols = _rows_of_lengths(lengths, n, seed=n)
+    _assert_same_order(_pattern(len(lengths), n, rows, cols), monkeypatch)
+
+
+@needs_native
+def test_order_parity_tiny_shapes(monkeypatch):
+    _assert_same_order(_pattern(5, 1, [0, 3], [0, 0]), monkeypatch)
+    _assert_same_order(_pattern(1, 1, [], []), monkeypatch)
+    _assert_same_order(_pattern(0, 7, [], []), monkeypatch)
+    for tier in ("pure", "native"):
+        out = kernels.colamd_postorder(_pattern(4, 0, [], []), tier=tier)
+        assert out.size == 0 and out.dtype == np.intp
+
+
+@needs_native
+def test_order_parity_explicit_zeros(monkeypatch):
+    # stored zeros are pattern entries on both tiers
+    rng = np.random.default_rng(22)
+    rows, cols = _rows_of_lengths(rng.integers(0, 6, 80), 50, seed=22)
+    vals = rng.standard_normal(rows.size)
+    vals[rng.random(rows.size) < 0.4] = 0.0
+    A = _pattern(80, 50, rows, cols, values=vals)
+    assert np.any(A.data == 0.0)
+    got = _assert_same_order(A, monkeypatch)
+    B = A.copy()
+    B.eliminate_zeros()
+    assert not np.array_equal(kernels.colamd_postorder(B, tier="native"),
+                              got)
+
+
+@needs_native
+def test_order_duplicate_entries_take_the_pure_route(monkeypatch):
+    rng = np.random.default_rng(23)
+    A = sp.random(60, 40, density=0.1, random_state=rng, format="csc")
+    # duplicate one stored entry; ensure_csc sorts but does not sum it
+    j = int(np.flatnonzero(np.diff(A.indptr))[0])
+    p = int(A.indptr[j])
+    A = sp.csc_matrix((np.insert(A.data, p, 1.0),
+                       np.insert(A.indices, p, A.indices[p]),
+                       np.concatenate([A.indptr[:j + 1],
+                                       A.indptr[j + 1:] + 1])),
+                      shape=A.shape)
+    ref = kernels.colamd_postorder(A, tier="pure")
+    with _pure_order_calls(monkeypatch) as handoffs:
+        got = kernels.colamd_postorder(A, tier="native")
+    assert handoffs == [A.shape]
+    assert np.array_equal(got, ref)
+
+
+@needs_native
+def test_order_kernel_rejects_short_scratch():
+    A = suite_matrix("M2", scale=0.4)
+    m, n = A.shape
+    lib = native.load()
+    ws = np.empty(native._order_scratch(m, n, A.nnz) - 1, dtype=np.int64)
+    perm = np.empty(n, dtype=np.int64)
+    assert lib.rk_colamd_postorder_i32(m, n, 16, A.indptr, A.indices, ws,
+                                       ws.size, perm) == -2
+
+
+@needs_native
+def test_order_threads_concurrently():
+    # no static state: concurrent orderings match the sequential ones
+    mats = [suite_matrix(label, scale=0.4) for label in ("M2", "M4", "M6")]
+    ref = [kernels.colamd_postorder(A, tier="pure") for A in mats]
+    results: dict = {}
+
+    def work(i):
+        results[i] = [kernels.colamd_postorder(A, tier="native")
+                      for A in mats]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(results) == len(threads)
+    for got in results.values():
+        assert all(np.array_equal(g, r) for g, r in zip(got, ref))
 
 
 # -- workspace ---------------------------------------------------------------
@@ -1077,6 +1203,22 @@ def test_e2e_filled_tier_parity(cls, extra):
     with _dense_calls() as calls:
         r_nat = cls(kernel_tier="native", **common).solve(A)
     assert calls["gram"] > 0 and calls["schur"] > 0
+    _assert_same_lu(r_pure, r_nat)
+
+
+@needs_native
+@pytest.mark.parametrize("cls,extra", [
+    (LU_CRTP, {}),
+    (ILUT_CRTP, {"estimated_iterations": 6}),
+])
+def test_e2e_colamd_every_iteration_tier_parity(cls, extra):
+    # every iteration reorders the active matrix through the dispatch
+    A = _m2_analogue(200)
+    common = dict(k=16, tol=1e-6, max_rank=64, raise_on_failure=False,
+                  colamd_every_iteration=True, **extra)
+    r_pure = cls(kernel_tier="pure", **common).solve(A)
+    r_nat = cls(kernel_tier="native", **common).solve(A)
+    assert r_pure.iterations > 2
     _assert_same_lu(r_pure, r_nat)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.ordering.colamd import colamd
+from repro.ordering.colamd import colamd, dense_row_cut
 from repro.ordering.etree import col_etree, colamd_preprocess, postorder
 from repro.ordering.rcm import rcm
 from repro.matrices.generators import grid_stiffness
@@ -108,6 +108,23 @@ def test_postorder_invalid_cycle():
 def test_colamd_preprocess_is_permutation(small_sparse):
     p = colamd_preprocess(small_sparse)
     assert is_permutation(p, 60)
+
+
+@pytest.mark.parametrize("tier", ["pure", "auto"])
+def test_colamd_preprocess_is_colamd_then_etree_postorder(small_sparse, tier):
+    # the paper's pipeline, spelled out: COLAMD, then the postorder of the
+    # column etree of the COLAMD-permuted matrix
+    p1 = colamd(small_sparse)
+    p2 = postorder(col_etree(small_sparse.tocsc()[:, p1]))
+    np.testing.assert_array_equal(
+        colamd_preprocess(small_sparse, kernel_tier=tier), p1[p2])
+
+
+def test_dense_row_cut():
+    assert dense_row_cut(10) == 16
+    assert dense_row_cut(100) == 50
+    assert dense_row_cut(101) == 50
+    assert dense_row_cut(100, dense_row_frac=0.25) == 25
 
 
 def test_rcm_is_permutation(small_sparse):
