@@ -18,8 +18,10 @@ Lifecycle (leak-freedom is an acceptance criterion, see
   their ``resource_tracker`` (the parent owns the lifetime; without this
   the tracker would double-unlink and spam warnings at child exit), and
   close their mapping when the rank program returns;
-- :func:`shm_segments` lists live ``repro_spmd_`` segments on ``/dev/shm``
-  so tests can assert nothing survived a run.
+- segment names carry the creating pid (``repro_spmd_<pid>_<token>``),
+  and :func:`shm_segments` lists this process's live segments on
+  ``/dev/shm`` so tests can assert nothing survived a run, whatever
+  other processes hold at the time.
 """
 
 from __future__ import annotations
@@ -89,16 +91,21 @@ def cleanup_owned() -> list[str]:
 atexit.register(cleanup_owned)
 
 
+def _own_prefix() -> str:
+    return f"{SHM_PREFIX}{os.getpid()}_"
+
+
 def shm_segments() -> list[str]:
-    """Names of live shared-memory segments created by this module."""
+    """Names of live shared-memory segments this process created."""
     if not _SHM_DIR.is_dir():  # non-Linux: nothing to report
         return []
+    prefix = _own_prefix()
     return sorted(p.name for p in _SHM_DIR.iterdir()
-                  if p.name.startswith(SHM_PREFIX))
+                  if p.name.startswith(prefix))
 
 
 def _fresh_name() -> str:
-    return f"{SHM_PREFIX}{secrets.token_hex(6)}"
+    return f"{_own_prefix()}{secrets.token_hex(6)}"
 
 
 def _as_view(buf, offset: int, dtype, count: int) -> np.ndarray:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import secrets
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -33,20 +34,23 @@ from .results import (
 )
 
 
-def _atomic_savez(path, **arrays) -> None:
-    """Write an ``.npz`` archive atomically: unique temp + fsync + replace.
+@contextmanager
+def atomic_write(path):
+    """Open a binary temp file that atomically replaces ``path`` on exit.
 
-    A crash at any point leaves either the previous file or nothing —
-    never a torn archive.  The temp name ends in ``.npz`` (so numpy does
-    not append a suffix) and carries a random token (so two concurrent
-    writers — e.g. a checkpointing rank racing a respawned one — never
-    clobber each other's partial writes).
+    Data goes to a uniquely-named temp file in the same directory, is
+    fsynced, and then replaces ``path`` via ``os.replace``: a crash at
+    any point leaves either the previous file or nothing, never a torn
+    one.  The random token in the temp name keeps two concurrent writers
+    (e.g. a checkpointing rank racing a respawned one) from clobbering
+    each other's partial writes; a failed write removes its temp.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp.npz")
+    tmp = path.with_name(
+        f".{path.name}.{secrets.token_hex(4)}.tmp{path.suffix}")
     try:
         with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -56,6 +60,19 @@ def _atomic_savez(path, **arrays) -> None:
         except OSError:
             pass
         raise
+
+
+def _atomic_savez(path, **arrays) -> None:
+    """Write an ``.npz`` archive atomically, its members stored
+    uncompressed.
+
+    On the service's factorizations (``BENCH_cache_io.json``) zlib saves
+    2.6% of the dense QB bytes and 39-51% of the sparse LU/ILUT ones, 6%
+    in all, for 15x the write time.  ``np.load`` reads stored and
+    deflated members alike, so archives written compressed still load.
+    """
+    with atomic_write(path) as fh:
+        np.savez(fh, **arrays)
 
 
 def _history_payload(history: ConvergenceHistory) -> str:
@@ -103,9 +120,13 @@ def save_result(result, path) -> None:
         **arrays)
 
 
-def load_result(path):
-    """Load a result previously written by :func:`save_result`."""
-    with np.load(Path(path), allow_pickle=False) as z:
+def load_result(source):
+    """Load a result previously written by :func:`save_result`.
+
+    ``source`` is a path or a binary file object (for instance an
+    ``io.BytesIO`` over archive bytes the caller has already verified).
+    """
+    with np.load(source, allow_pickle=False) as z:
         meta = json.loads(bytes(z["_meta"]).decode())
         history = _history_from_payload(bytes(z["_history"]).decode())
         common = dict(rank=int(meta["rank"]), tolerance=meta["tolerance"],
@@ -170,10 +191,9 @@ def save_checkpoint(path, state: dict) -> None:
     Values may be numpy arrays, scipy sparse matrices, (possibly empty)
     lists of either, or anything ``json.dumps`` accepts (ints, floats,
     strings, dicts — e.g. an RNG bit-generator state).  The write is
-    atomic: data goes to a uniquely-named temp file in the same
-    directory, is fsynced, and then replaces ``path`` via ``os.replace``
-    — a crash mid-write can never leave a torn checkpoint that poisons a
-    later resume, and concurrent writers never corrupt each other.
+    atomic (:func:`atomic_write`) — a crash mid-write can never leave a
+    torn checkpoint that poisons a later resume, and concurrent writers
+    never corrupt each other.
     """
     arrays: dict[str, np.ndarray] = {}
     meta: dict = {"version": CHECKPOINT_VERSION, "scalars": {},

@@ -30,8 +30,10 @@ moved aside and treated as misses, never fatal to serving.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
+import secrets
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -207,15 +209,6 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(f".{path.name}.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-
-
 class DiskCacheTier:
     """Write-through durable spill of the factorization cache.
 
@@ -227,16 +220,18 @@ class DiskCacheTier:
         journal.log         append-only JSON lines auditing every mutation
 
     where ``<id>`` is the SHA-256 content address of the cache key.  All
-    writes are atomic (unique temp + fsync + rename), the archive is
-    written *before* its sidecar — a sidecar's existence implies a
+    writes are atomic (:func:`repro.serialize.atomic_write`), the archive
+    is written *before* its sidecar — a sidecar's existence implies a
     complete archive, modulo disk corruption, which the checksum catches
-    at lookup.  τ-dominance matches the in-memory rule: one entry per
-    key, replaced only by a strictly tighter tolerance.
+    at lookup.  A lookup reads the archive once and loads exactly the
+    bytes it verified.  τ-dominance matches the in-memory rule: one entry
+    per key, replaced only by a strictly tighter tolerance.
 
-    Results whose factors cannot be serialized (summary-only LU results
-    from SPMD routes carry ``L=None``) are skipped, counted under
-    ``spill_skipped`` — the durable tier degrades to memory-only for
-    them rather than failing the solve.
+    The durable tier degrades to memory-only rather than failing a
+    solve: results whose factors cannot be serialized (summary-only LU
+    results from SPMD routes carry ``L=None``) are skipped, counted
+    under ``spill_skipped``; a write the disk refuses (full, read-only,
+    over quota) is counted under ``spill_failed`` and leaves no entry.
     """
 
     def __init__(self, root):
@@ -251,6 +246,7 @@ class DiskCacheTier:
         self.disk_stores = 0
         self.corrupt = 0
         self.spill_skipped = 0
+        self.spill_failed = 0
 
     # -- journal -------------------------------------------------------
     def _journal(self, record: dict) -> None:
@@ -288,12 +284,27 @@ class DiskCacheTier:
         except TypeError:
             self.spill_skipped += 1
             return False
-        meta = {"schema": DISK_CACHE_SCHEMA, "key": list(key),
-                "tol": float(tol), "result_json": result_json,
-                "sha256": _sha256_file(npz)}
-        _atomic_write_text(sidecar, json.dumps(meta, separators=(",", ":")))
+        except OSError:
+            self.spill_failed += 1  # nothing replaced: any old entry holds
+            return False
+        try:
+            meta = {"schema": DISK_CACHE_SCHEMA, "key": list(key),
+                    "tol": float(tol), "result_json": result_json,
+                    "sha256": _sha256_file(npz)}
+            with serialize.atomic_write(sidecar) as fh:
+                fh.write(json.dumps(meta, separators=(",", ":")).encode())
+            self._journal({"op": "store", "id": eid, "tol": float(tol)})
+        except OSError:
+            # the new archive replaced the one any old sidecar describes,
+            # and an entry the journal does not record must not stay
+            self.spill_failed += 1
+            for path in (npz, sidecar):
+                try:
+                    path.unlink()
+                except OSError:
+                    pass
+            return False
         self.disk_stores += 1
-        self._journal({"op": "store", "id": eid, "tol": float(tol)})
         return True
 
     # -- lookup --------------------------------------------------------
@@ -309,8 +320,10 @@ class DiskCacheTier:
     def lookup(self, key: tuple, tol: float):
         """Return ``(stored_tol, result, result_json)`` or ``None``.
 
-        Checksum-verified: a mismatching or unreadable entry is
-        quarantined and reported as a miss.
+        Checksum-verified: the archive is read once, its SHA-256 checked
+        against the sidecar, and those same bytes are loaded.  A
+        mismatching or unreadable entry is quarantined and reported as a
+        miss.
         """
         from .. import serialize
         eid = _entry_id(key)
@@ -328,12 +341,17 @@ class DiskCacheTier:
         if stored_tol > tol:
             self.disk_misses += 1
             return None
-        if not npz.exists() or _sha256_file(npz) != meta.get("sha256"):
+        try:
+            blob = npz.read_bytes()
+        except OSError:
+            blob = None
+        if blob is None or \
+                hashlib.sha256(blob).hexdigest() != meta.get("sha256"):
             self._quarantine(eid, "checksum mismatch")
             self.disk_misses += 1
             return None
         try:
-            result = serialize.load_result(npz)
+            result = serialize.load_result(io.BytesIO(blob))
         except Exception:  # noqa: BLE001 - damaged archive == miss
             self._quarantine(eid, "archive unreadable")
             self.disk_misses += 1
@@ -342,17 +360,26 @@ class DiskCacheTier:
         return stored_tol, result, meta["result_json"]
 
     def _quarantine(self, eid: str, reason: str) -> None:
-        """Move a damaged entry aside; serving continues as a miss."""
+        """Move a damaged entry aside; serving continues as a miss.
+
+        Each quarantine gets its own ``<id>.<token>`` stem, so a key
+        damaged twice keeps both copies; the journal record names the
+        files it moved.
+        """
         self.corrupt += 1
+        stem = f"{eid}.{secrets.token_hex(4)}"
+        moved = []
         for suffix in (".npz", ".json"):
             src = self.entries_dir / f"{eid}{suffix}"
             if src.exists():
-                dst = self.quarantine_dir / src.name
+                dst = self.quarantine_dir / f"{stem}{suffix}"
                 try:
                     os.replace(src, dst)
+                    moved.append(dst.name)
                 except OSError:
                     pass
-        self._journal({"op": "quarantine", "id": eid, "reason": reason})
+        self._journal({"op": "quarantine", "id": eid, "reason": reason,
+                       "files": moved})
 
     # -- maintenance ---------------------------------------------------
     def verify(self) -> list[CacheIntegrityError]:
@@ -385,4 +412,5 @@ class DiskCacheTier:
             "stores": self.disk_stores,
             "corrupt": self.corrupt,
             "spill_skipped": self.spill_skipped,
+            "spill_failed": self.spill_failed,
         }

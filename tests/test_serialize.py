@@ -1,5 +1,8 @@
 """Tests for repro.serialize (result and checkpoint persistence)."""
 
+import io
+import zipfile
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -72,6 +75,67 @@ def test_history_round_trips(small_sparse, tmp_path):
 def test_unknown_type_raises(tmp_path):
     with pytest.raises(TypeError):
         save_result(object(), tmp_path / "x.npz")
+
+
+def _member_compression(path) -> set:
+    with zipfile.ZipFile(path) as zf:
+        return {info.compress_type for info in zf.infolist()}
+
+
+def _assert_lu_equal(back, res):
+    for name in ("L", "U"):
+        a, b = getattr(back, name).tocsr(), getattr(res, name).tocsr()
+        for part in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(a, part), getattr(b, part))
+    np.testing.assert_array_equal(back.row_perm, res.row_perm)
+    np.testing.assert_array_equal(back.col_perm, res.col_perm)
+
+
+def test_archives_store_members_uncompressed(small_sparse, tmp_path):
+    qb = randqb_ei(small_sparse, k=8, tol=1e-2)
+    lu = lu_crtp(small_sparse, k=8, tol=1e-2)
+    save_result(qb, tmp_path / "qb.npz")
+    save_result(lu, tmp_path / "lu.npz")
+    save_checkpoint(tmp_path / "ck.npz",
+                    {"kind": "demo", "vec": np.arange(6.0), "mat": lu.L})
+    for name in ("qb.npz", "lu.npz", "ck.npz"):
+        assert _member_compression(tmp_path / name) == {zipfile.ZIP_STORED}
+
+
+def test_compressed_archives_still_load(small_sparse, tmp_path,
+                                       monkeypatch):
+    """Archives written with zlib (the layout before members were
+    stored) load bit for bit through both readers."""
+    lu = lu_crtp(small_sparse, k=8, tol=1e-2)
+    qb = randqb_ei(small_sparse, k=8, tol=1e-2)
+    state = {"kind": "demo", "step": 4, "vec": np.arange(6.0), "mat": lu.L}
+    with monkeypatch.context() as m:
+        m.setattr(np, "savez", np.savez_compressed)
+        save_result(lu, tmp_path / "lu.npz")
+        save_result(qb, tmp_path / "qb.npz")
+        save_checkpoint(tmp_path / "ck.npz", state)
+    for name in ("lu.npz", "qb.npz", "ck.npz"):
+        assert _member_compression(tmp_path / name) == {
+            zipfile.ZIP_DEFLATED}
+    _assert_lu_equal(load_result(tmp_path / "lu.npz"), lu)
+    back = load_result(tmp_path / "qb.npz")
+    np.testing.assert_array_equal(back.Q, qb.Q)
+    np.testing.assert_array_equal(back.B, qb.B)
+    got = load_checkpoint(tmp_path / "ck.npz")
+    assert got["step"] == 4
+    np.testing.assert_array_equal(got["vec"], state["vec"])
+    np.testing.assert_array_equal(got["mat"].toarray(), lu.L.toarray())
+
+
+def test_load_result_accepts_path_or_binary_file(small_sparse, tmp_path):
+    res = lu_crtp(small_sparse, k=8, tol=1e-2)
+    path = tmp_path / "res.npz"
+    save_result(res, path)
+    _assert_lu_equal(load_result(path), res)
+    _assert_lu_equal(load_result(str(path)), res)
+    with open(path, "rb") as fh:
+        _assert_lu_equal(load_result(fh), res)
+    _assert_lu_equal(load_result(io.BytesIO(path.read_bytes())), res)
 
 
 # ---------------------------------------------------------------------------

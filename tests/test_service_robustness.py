@@ -20,9 +20,16 @@ Covers the survivability contracts added around the solve service:
 """
 
 import asyncio
+import contextlib
+import errno
+import os
+import struct
 import threading
 import time
+import zipfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.api import SolverConfig, make_solver
@@ -136,6 +143,115 @@ def test_corrupted_spill_is_quarantined_not_fatal(tmp_path, kind):
     key2, result2 = _store_one_entry(tier, tol=1e-3)
     got = tier.lookup(key2, 1e-3)
     assert got is not None and got[0] == 1e-3
+
+
+def test_repeated_quarantine_keeps_every_copy(tmp_path):
+    tier = DiskCacheTier(tmp_path / "spill")
+    chaos = ChaosDriver(seed=3)
+    for _ in range(2):
+        key, _ = _store_one_entry(tier)
+        chaos.apply(CacheCorruption(kind="garbage", count=1), tier=tier)
+        assert tier.lookup(key, 1e-2) is None
+    records = [r for r in tier.journal_records() if r["op"] == "quarantine"]
+    assert len(records) == 2
+    kept = sorted(p.name for p in tier.quarantine_dir.iterdir())
+    assert len(kept) == 4  # two archives + two sidecars, none overwritten
+    assert sorted(f for r in records for f in r["files"]) == kept
+
+
+def _assert_same_lu(got, result):
+    for name in ("L", "U"):
+        a, b = getattr(got, name).tocsr(), getattr(result, name).tocsr()
+        for part in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(a, part), getattr(b, part))
+    np.testing.assert_array_equal(got.row_perm, result.row_perm)
+    np.testing.assert_array_equal(got.col_perm, result.col_perm)
+
+
+def test_disk_lookup_serves_archive_written_compressed(tmp_path,
+                                                      monkeypatch):
+    """A cache directory written before archives were stored
+    uncompressed still serves its entries bit for bit."""
+    with monkeypatch.context() as m:
+        m.setattr(np, "savez", np.savez_compressed)
+        key, result = _store_one_entry(DiskCacheTier(tmp_path / "spill"))
+    tier = DiskCacheTier(tmp_path / "spill")
+    (npz,) = tier.entries_dir.glob("*.npz")
+    with zipfile.ZipFile(npz) as zf:
+        assert {i.compress_type for i in zf.infolist()} == {
+            zipfile.ZIP_DEFLATED}
+    got = tier.lookup(key, 1e-2)
+    assert got is not None and tier.corrupt == 0
+    _assert_same_lu(got[1], result)
+
+
+def _flip_last_payload_byte(npz: Path, member: str) -> None:
+    """Flip one bit in the last byte of a stored zip member's data."""
+    data = bytearray(npz.read_bytes())
+    with zipfile.ZipFile(npz) as zf:
+        info = zf.getinfo(member)
+    assert info.compress_type == zipfile.ZIP_STORED
+    name_len, extra_len = struct.unpack_from("<HH", data,
+                                             info.header_offset + 26)
+    start = info.header_offset + 30 + name_len + extra_len
+    data[start + info.compress_size - 1] ^= 0x01
+    npz.write_bytes(bytes(data))
+
+
+def test_flipped_factor_byte_fails_the_checksum_before_loading(tmp_path):
+    from repro import serialize
+    tier = DiskCacheTier(tmp_path / "spill")
+    key, _ = _store_one_entry(tier)
+    (npz,) = tier.entries_dir.glob("*.npz")
+    _flip_last_payload_byte(npz, "L_data.npy")
+
+    assert tier.lookup(key, 1e-2) is None
+    (record,) = [r for r in tier.journal_records()
+                 if r["op"] == "quarantine"]
+    # the SHA-256 of the bytes read rejects the entry before np.load,
+    # whose zip CRC check would report it as unreadable instead
+    assert record["reason"] == "checksum mismatch"
+    copy = tier.quarantine_dir / next(f for f in record["files"]
+                                      if f.endswith(".npz"))
+    with pytest.raises(zipfile.BadZipFile, match="CRC"):
+        serialize.load_result(copy)
+
+
+def _full_disk_once(monkeypatch, suffix: str) -> None:
+    """Make the first atomic write of a ``suffix`` file fail with ENOSPC
+    after its temp file already holds bytes."""
+    from repro import serialize
+    real = serialize.atomic_write
+    armed = [True]
+
+    @contextlib.contextmanager
+    def atomic_write(path):
+        with real(path) as fh:
+            if armed[0] and Path(path).suffix == suffix:
+                armed[0] = False
+                fh.write(b"partial")
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            yield fh
+    monkeypatch.setattr(serialize, "atomic_write", atomic_write)
+
+
+@pytest.mark.parametrize("suffix", [".npz", ".json"])
+def test_failed_write_through_completes_the_request(tmp_path, monkeypatch,
+                                                    suffix):
+    """A disk that refuses the archive or the sidecar costs the durable
+    copy, never the solved request."""
+    _full_disk_once(monkeypatch, suffix)
+    cache_dir = tmp_path / "spill"
+    with ServiceClient(workers=1, cache_dir=str(cache_dir)) as client:
+        first = client.solve(lu_request())
+        assert first["state"] == "done" and first["cache"] == "miss"
+        again = client.solve(lu_request())
+        assert again["state"] == "done" and again["cache"] == "hit"
+        disk = client.metrics()["cache"]["disk"]
+        assert disk["spill_failed"] == 1
+        assert disk["stores"] == 0 and disk["entries"] == 0
+    # no temp file and no archive without its sidecar
+    assert list((cache_dir / "entries").iterdir()) == []
 
 
 def test_disk_tier_verify_reports_damage(tmp_path):

@@ -9,6 +9,10 @@ cross-backend checkpointing, fault parity, shared-memory hygiene, and
 the two satellite fixes (sparse ``_payload_bytes``, loud join timeout).
 """
 
+import secrets
+from multiprocessing import shared_memory
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -22,7 +26,7 @@ from repro.parallel.comm import _payload_bytes, run_spmd
 from repro.parallel.faults import FaultPlan, RankCrash
 from repro.parallel.machine import MachineModel
 from repro.parallel.report import CommReport
-from repro.parallel.shm import shm_segments
+from repro.parallel.shm import SHM_PREFIX, shm_segments
 from repro.parallel.spmd import spmd_lu_crtp, spmd_randqb_ei
 
 
@@ -237,6 +241,23 @@ def test_no_shm_leak_after_program_error(A120):
         run_spmd(3, bad, backend="procs", recv_timeout=5.0,
                  collective_timeout=20.0)
     assert shm_segments() == []
+
+
+@pytest.mark.skipif(not Path("/dev/shm").is_dir(),
+                    reason="no /dev/shm to list segments from")
+def test_no_shm_leak_check_ignores_foreign_segments(A120):
+    """A segment another process holds meanwhile (a concurrent procs
+    run) is not a leak of this one."""
+    name = f"{SHM_PREFIX}foreign{secrets.token_hex(4)}"
+    foreign = shared_memory.SharedMemory(create=True, size=64, name=name)
+    try:
+        run_spmd(2, spmd_randqb_ei, A120, k=8, tol=1e-2, seed=0,
+                 backend="procs")
+        assert foreign.name in {p.name for p in Path("/dev/shm").iterdir()}
+        assert shm_segments() == []
+    finally:
+        foreign.close()
+        foreign.unlink()
 
 
 # ---------------------------------------------------------------------------
