@@ -14,8 +14,9 @@ Wall-clock speedup of the procs backend is only meaningful on a
 multicore host; the committed JSON records ``host.cpu_count`` so readers
 can interpret the numbers.  The regression gate is machine-independent:
 
-- thread and procs backends must agree on results bitwise and on the
-  modeled clock exactly (drift here means the backends diverged);
+- thread and procs backends must agree on results bitwise, on the
+  modeled clock exactly and on the ledger's bytes and message count
+  (drift here means the backends diverged);
 - the modeled clock must keep improving from P=1 to P=4 (the scaling
   property Fig. 4 is built on);
 - on hosts with >= 4 cores, procs at P=4 must additionally beat procs
@@ -132,6 +133,11 @@ def check_regression(results: dict) -> list[str]:
                 if not e[f"{backend}_matches"]:
                     bad.append(f"{name} P={p}: {backend} backend diverged "
                                "from the reference run (results or clocks)")
+            if e["threads"]["comm"] != e["procs"]["comm"]:
+                bad.append(f"{name} P={p}: threads and procs ledgers "
+                           f"disagree on bytes_sent/msgs "
+                           f"({e['threads']['comm']} vs "
+                           f"{e['procs']['comm']})")
         if rows["4"]["modeled_s"] >= rows["1"]["modeled_s"]:
             bad.append(f"{name}: modeled clock does not improve from "
                        "P=1 to P=4")
@@ -180,7 +186,8 @@ def main(argv=None) -> int:
             for b in bad:
                 print(f"REGRESSION: {b}", file=sys.stderr)
             return 1
-        print("regression check passed (backend parity + modeled scaling)")
+        print("regression check passed (backend parity, ledger parity + "
+              "modeled scaling)")
     return 0
 
 

@@ -457,8 +457,8 @@ class LU_CRTP:
     def _compute_F(self, A11d: np.ndarray, A21: sp.csr_matrix,
                    Qk: np.ndarray, row_perm: np.ndarray, k_i: int,
                    i: int) -> sp.csr_matrix:
-        """``F = A21 A11^{-1}`` restricted to the nonzero rows of the CSR
-        block ``A21``, assembled directly in canonical CSR.
+        """``F`` by ``l_formula``: the orthogonal variant here, the Schur
+        formula through :func:`schur_multipliers`.
 
         Raises :class:`RankDeficiencyBreakdown` when the pivot block is
         numerically singular (the §III-A failure mode).
@@ -481,20 +481,37 @@ class LU_CRTP:
             return dense_rows_to_csr(
                 Fd, np.arange(Fd.shape[0]), Fd.shape[0])
 
-        rows = np.flatnonzero(np.diff(A21.indptr))
-        mrest = A21.shape[0]
-        if rows.size == 0:
-            return sp.csr_matrix((mrest, k_i))
-        try:
-            # solve X A11 = A21[rows]  <=>  A11^T X^T = A21[rows]^T
-            Fsub = np.linalg.solve(A11d.T, csr_rows_to_dense(A21, rows).T).T
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficiencyBreakdown(
-                "pivot block A11 numerically singular", iteration=i) from exc
-        if not np.all(np.isfinite(Fsub)):
-            raise RankDeficiencyBreakdown(
-                "pivot block A11 produced non-finite multipliers", iteration=i)
-        return dense_rows_to_csr(Fsub, rows, mrest)
+        return schur_multipliers(A11d, A21, iteration=i)
+
+
+def schur_multipliers(A11d: np.ndarray, A21: sp.csr_matrix, *,
+                      iteration: int | None = None,
+                      drop_below: float = 1e-300) -> sp.csr_matrix:
+    """Algorithm 2's ``F = A21 A11^{-1}`` (the Schur formula, lines 10/12)
+    restricted to the nonzero rows of the CSR block ``A21``, assembled
+    directly in canonical CSR; multipliers below ``drop_below`` in
+    magnitude are pruned.  The F step of :class:`LU_CRTP` and of the SPMD
+    rank program (:func:`repro.parallel.spmd.spmd_lu_crtp`).
+
+    Raises :class:`RankDeficiencyBreakdown` when the pivot block is
+    numerically singular (the §III-A failure mode).
+    """
+    rows = np.flatnonzero(np.diff(A21.indptr))
+    mrest, k = A21.shape
+    if rows.size == 0:
+        return sp.csr_matrix((mrest, k))
+    try:
+        # solve X A11 = A21[rows]  <=>  A11^T X^T = A21[rows]^T
+        Fsub = np.linalg.solve(A11d.T, csr_rows_to_dense(A21, rows).T).T
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficiencyBreakdown(
+            "pivot block A11 numerically singular",
+            iteration=iteration) from exc
+    if not np.all(np.isfinite(Fsub)):
+        raise RankDeficiencyBreakdown(
+            "pivot block A11 produced non-finite multipliers",
+            iteration=iteration)
+    return dense_rows_to_csr(Fsub, rows, mrest, drop_below=drop_below)
 
 
 def lu_crtp(A, k: int = 32, tol: float = 1e-3, **kwargs) -> LUApproximation:

@@ -32,6 +32,7 @@ from .tiers import (
     spgemm_csr,
     threshold_mask,
     validate_request,
+    window_split,
 )
 
 __all__ = [
@@ -50,6 +51,7 @@ __all__ = [
     "threshold_mask",
     "apply_threshold_mask",
     "permuted_blocks",
+    "window_split",
     "pivot_argmin_consume",
     "csr_to_csc",
     "csc_to_csr",

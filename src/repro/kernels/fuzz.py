@@ -58,9 +58,11 @@ PATTERNS = ("uniform", "empty_rows", "dense_row", "cancel", "negzero",
             "extreme", "empty", "boundary32", "filled")
 
 #: Kernels the harness covers, in dispatch-surface order.
+#: New kernels go at the end: a case's seed includes its kernel's index.
 KERNELS = ("spgemm_csr", "threshold_mask", "apply_threshold_mask",
            "permuted_blocks", "colamd_postorder", "csr_to_csc",
-           "csc_to_csr", "gather_columns", "gram_csc", "schur_update_csc")
+           "csc_to_csr", "gather_columns", "gram_csc", "schur_update_csc",
+           "window_split")
 
 
 @dataclass(frozen=True)
@@ -211,6 +213,16 @@ def generate(spec: CaseSpec) -> dict:
                 "col_perm": rng.permutation(n).astype(np.int64),
                 "row_perm": rng.permutation(m).astype(np.int64),
                 "k": int(rng.integers(1, min(m, n) + 1))}
+    if k == "window_split":
+        # contract: canonical CSC, any column subset, 0 < k <= m
+        m = max(spec.m, 1)
+        A = _sparse(spec, rng, m, spec.n, "csc")
+        ncols = int(rng.integers(0, spec.n + 1))
+        return {"active": A,
+                "cols": rng.choice(spec.n, size=ncols,
+                                   replace=False).astype(np.int64),
+                "row_perm": rng.permutation(m).astype(np.int64),
+                "k": int(rng.integers(1, m + 1))}
     if k == "colamd_postorder":
         if spec.pattern == "boundary32":
             return {"A": _dense_cut_rows(spec, rng)}
@@ -308,6 +320,9 @@ def run_kernel(inputs: dict, kernel: str, tier: str):
     if kernel == "permuted_blocks":
         return tiers.permuted_blocks(i["active"], i["col_perm"],
                                      i["row_perm"], i["k"], tier=tier)
+    if kernel == "window_split":
+        return tiers.window_split(i["active"], i["cols"], i["row_perm"],
+                                  i["k"], tier=tier)
     if kernel == "colamd_postorder":
         return tiers.colamd_postorder(i["A"], tier=tier)
     if kernel == "csr_to_csc":

@@ -19,6 +19,7 @@ counterpart (see the parity pins in ``tests/test_kernel_tiers.py``):
 - :func:`threshold_mask` / :func:`apply_threshold_mask`
                            ≡ ``repro.sparse.thresholding`` pair
 - :func:`permuted_blocks`  ≡ ``repro.sparse.window.permuted_blocks``
+- :func:`window_split`     ≡ ``repro.sparse.window.window_split``
 - :func:`csr_to_csc` / :func:`csc_to_csr` ≡ scipy ``tocsc()``/``tocsr()``
 - :func:`gather_columns`   ≡ the general gather path of
   ``repro.sparse.ops.extract_columns``
@@ -413,26 +414,55 @@ def _window_split_topdense(lib, active, cols, ipos, k, rowcount, idx_dtype):
                       Cp.astype(idx_dtype, copy=False), (m - k, ncols))
 
 
-def permuted_blocks(active, col_perm, row_perm, k: int, rowcount=None):
-    """Fused permute + 2x2 split (pure contract:
-    ``repro.sparse.window.permuted_blocks``)."""
-    lib = load()
-    m, n = active.shape
+def _window_inputs(lib, active, row_perm, rowcount):
+    """``(ipos, rowcount, idx_dtype)`` for the window kernels, or ``None``
+    when ``active`` falls outside their contract (float64 values, equal
+    int32/int64 index dtypes) and the caller takes the pure route."""
     if lib is None or active.data.dtype != np.float64 \
             or active.indices.dtype != active.indptr.dtype \
             or np.dtype(active.indices.dtype) not in (np.dtype(np.int32),
                                                       np.dtype(np.int64)):
-        from ...sparse import window
-        return window.permuted_blocks(active, col_perm, row_perm, k)
-    if not 0 < k <= min(m, n):
-        raise ValueError(f"invalid split size k={k} for shape {active.shape}")
-    q = np.ascontiguousarray(col_perm, dtype=np.int64)
+        return None
+    m, n = active.shape
     ipos = np.empty(m, dtype=np.int64)
     ipos[np.asarray(row_perm, dtype=np.int64)] = np.arange(m, dtype=np.int64)
     if rowcount is None or rowcount.size < m:
         rowcount = np.empty(max(m, 1), dtype=np.int64)
-    idx_dtype = np.int32 if max(m, n) < 2**31 else np.int64
+    return ipos, rowcount, (np.int32 if max(m, n) < 2**31 else np.int64)
 
+
+def window_split(active, cols, row_perm, k: int, rowcount=None):
+    """Fused row permute + column gather + row split of one window (pure
+    contract: ``repro.sparse.window.window_split``)."""
+    from ...sparse import window
+    lib = load()
+    m, n = active.shape
+    inputs = _window_inputs(lib, active, row_perm, rowcount)
+    if inputs is None:
+        return window.window_split(active, cols, row_perm, k)
+    if not 0 < k <= m:
+        raise ValueError(f"invalid split size k={k} for {m} rows")
+    ipos, rowcount, idx_dtype = inputs
+    return _window_split(lib, active,
+                         np.ascontiguousarray(window._column_ids(cols, n)),
+                         ipos, k, rowcount, idx_dtype)
+
+
+def permuted_blocks(active, col_perm, row_perm, k: int, rowcount=None):
+    """Fused permute + 2x2 split (pure contract:
+    ``repro.sparse.window.permuted_blocks``): the pivot window straight to
+    dense ``A11`` + CSR ``A21``, the rest through :func:`window_split`'s
+    kernel pair."""
+    lib = load()
+    m, n = active.shape
+    inputs = _window_inputs(lib, active, row_perm, rowcount)
+    if inputs is None:
+        from ...sparse import window
+        return window.permuted_blocks(active, col_perm, row_perm, k)
+    if not 0 < k <= min(m, n):
+        raise ValueError(f"invalid split size k={k} for shape {active.shape}")
+    ipos, rowcount, idx_dtype = inputs
+    q = np.ascontiguousarray(col_perm, dtype=np.int64)
     A11d, A21 = _window_split_topdense(lib, active, q[:k], ipos, k,
                                        rowcount, idx_dtype)
     A12, A22 = _window_split(lib, active, q[k:], ipos, k, rowcount,

@@ -61,13 +61,6 @@ def check_gram_pairs(left, right) -> None:
                          f"(got {len(left)} and {len(right)})")
 
 
-def _column_ids(ids, n: int) -> np.ndarray:
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
-        raise IndexError(f"column id out of range for {n} columns")
-    return ids
-
-
 def gram_csc(A, left, right, workspace=None):
     """One dense ``A[:, left[p]].T @ A[:, right[p]]`` per pair of column
     id lists, for canonical float64 CSC ``A``: the general gather of
@@ -80,8 +73,8 @@ def gram_csc(A, left, right, workspace=None):
     n = A.shape[1]
     out = []
     for lo, ro in zip(left, right):
-        B1 = gather_columns(A, _column_ids(lo, n))
-        B2 = B1 if ro is lo else gather_columns(A, _column_ids(ro, n))
+        B1 = gather_columns(A, _window._column_ids(lo, n))
+        B2 = B1 if ro is lo else gather_columns(A, _window._column_ids(ro, n))
         out.append(_cross_gram_kernel(B1, B2))
     return out
 
@@ -109,6 +102,10 @@ def apply_threshold_mask(A, mask):
 def permuted_blocks(active, col_perm, row_perm, k: int, rowcount=None):
     del rowcount
     return _window.permuted_blocks(active, col_perm, row_perm, k)
+
+
+def window_split(active, cols, row_perm, k: int):
+    return _window.window_split(active, cols, row_perm, k)
 
 
 def pivot_argmin_consume(key: np.ndarray, sentinel: int) -> int:

@@ -198,21 +198,41 @@ def apply_threshold_mask(A, mask, *, tier: str | None = None):
     return mod.apply_threshold_mask(A, mask)
 
 
+def _rowcount(m: int):
+    """The thread-local row-count scratch of the native window kernels,
+    grown to at least ``m`` slots."""
+    import numpy as np
+    state = _thread_state()
+    rowcount = state.get("rowcount")
+    if rowcount is None or rowcount.size < m:
+        rowcount = state["rowcount"] = np.empty(
+            max(1024, 2 * m), dtype=np.int64)
+    return rowcount
+
+
 def permuted_blocks(active, col_perm, row_perm, k: int, *,
                     tier: str | None = None):
     """Fused permute + 2x2 split of the active matrix."""
     mod, t = _impl(tier)
     if t == "native":
-        import numpy as np
-        state = _thread_state()
-        rowcount = state.get("rowcount")
-        m = active.shape[0]
-        if rowcount is None or rowcount.size < m:
-            rowcount = state["rowcount"] = np.empty(
-                max(1024, 2 * m), dtype=np.int64)
         return mod.permuted_blocks(active, col_perm, row_perm, k,
-                                   rowcount=rowcount)
+                                   rowcount=_rowcount(active.shape[0]))
     return mod.permuted_blocks(active, col_perm, row_perm, k)
+
+
+def window_split(active, cols, row_perm, k: int, *,
+                 tier: str | None = None):
+    """Row permute + column gather + split at permuted row ``k`` of one
+    window of a canonical CSC matrix: ``(top, bottom)`` canonical CSR,
+    equal to ``active[row_perm][:, cols]`` cut into its first ``k`` rows
+    and the rest (``0 < k <= m``; ``cols`` may be empty).  The right-window
+    pass of :func:`permuted_blocks`, for callers that hold the pivot
+    columns elsewhere (the SPMD rank program)."""
+    mod, t = _impl(tier)
+    if t == "native":
+        return mod.window_split(active, cols, row_perm, k,
+                                rowcount=_rowcount(active.shape[0]))
+    return mod.window_split(active, cols, row_perm, k)
 
 
 def pivot_argmin_consume(key, sentinel: int, *,

@@ -22,6 +22,7 @@ from .. import perf
 from ..exceptions import CommTimeoutError
 from ..pivoting.select import select_columns
 from ..pivoting.tournament import qr_tp
+from ..sparse.window import extract_leading_columns
 from .comm import SimComm
 
 
@@ -142,8 +143,7 @@ def par_tournament_columns(comm: SimComm, local_block: sp.csc_matrix,
         comm.charge_flops(res.stats.total_flops)
         perf.add_flops("col_qr_tp", res.stats.total_flops)
         cand_ids = np.asarray(local_ids, dtype=np.intp)[res.winners]
-        # CSC column slicing already yields CSC — no conversion round-trip
-        cand_cols = local_block[:, res.winners]
+        cand_cols = extract_leading_columns(local_block, res.winners)
         r_diag = res.r11_diag
 
     nprocs = comm.nprocs
@@ -177,7 +177,8 @@ def par_tournament_columns(comm: SimComm, local_block: sp.csc_matrix,
                         comm.charge_flops(sel.flops)
                         perf.add_flops("col_qr_tp", sel.flops)
                         cand_ids = ids[sel.winners]
-                        cand_cols = merged[:, sel.winners]
+                        cand_cols = extract_leading_columns(merged,
+                                                            sel.winners)
                         r_diag = sel.r_diag
             else:
                 partner = comm.rank - step

@@ -18,14 +18,20 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from ..core.lu_crtp import schur_multipliers
 from ..exceptions import CheckpointError
 from ..kernels.threads import one_blas_thread
 from ..linalg.norms import fro_norm_sq
 from ..linalg.orth import orth
 from ..sparse.utils import ensure_csc
+from ..sparse.window import extract_leading_columns
 from .comm import SimComm
 from .distribution import block_ranges, own_col_block, own_row_block
 from .kernels import par_qt_a, par_spmm_rowdist, par_tournament_columns, par_tsqr
+
+#: ``drop_below`` for the rank program's F: every nonzero multiplier is at
+#: least the smallest subnormal in magnitude, so none is pruned.
+_KEEP_NONZERO = float(np.finfo(np.float64).smallest_subnormal)
 
 
 def _load_spmd_checkpoint(comm: SimComm, resume_from, kind: str) -> dict:
@@ -164,8 +170,13 @@ def spmd_lu_crtp(comm: SimComm, A, *, k: int = 16, tol: float = 1e-2,
     ``A^(i)`` lives in a block-cyclic column distribution; the column
     tournament reduces locally then over the binary tree; the ``k`` selected
     columns are shipped to rank 0 for the small sparse QR; ``Q_k`` is
-    broadcast for the row tournament; ``F = A21 A11^{-1}`` is computed from
-    broadcast ``A11``; the Schur update runs column-local.
+    broadcast for the row tournament; rank 0 splits ``A11``/``A21`` out of
+    the selected columns, solves ``F = A21 A11^{-1}`` and broadcasts ``A11``
+    and ``F``; every rank splits its own non-winner columns into
+    ``A12``/``A22`` in one window pass and runs the Schur update
+    column-local.  The rank-local steps are :class:`repro.core.LU_CRTP`'s
+    own: the :func:`repro.kernels.window_split` / ``permuted_blocks``
+    window kernels and :func:`repro.core.lu_crtp.schur_multipliers`.
 
     Every rank returns ``(achieved_rank, converged, rel_indicator)``;
     factors are validated through the indicator (the sequential solver is
@@ -224,16 +235,17 @@ def spmd_lu_crtp(comm: SimComm, A, *, k: int = 16, tol: float = 1e-2,
             break
         winner_ids, _ = par_tournament_columns(comm, local, local_ids, k_i,
                                                tier=tier)
+        won = np.isin(local_ids, winner_ids)
 
         # ship winning columns to rank 0 for the sparse QR
-        mine = np.isin(local_ids, winner_ids)
-        payload = (local_ids[mine], local[:, np.flatnonzero(mine)])
+        payload = (local_ids[won],
+                   extract_leading_columns(local, np.flatnonzero(won)))
         gathered = comm.gather(payload, root=0)
         if comm.rank == 0:
             ids = np.concatenate([g[0] for g in gathered])
             cols = sp.hstack([g[1] for g in gathered], format="csc")
-            order = np.argsort(_rank_in(ids, winner_ids))
-            sel = cols[:, order]
+            sel = extract_leading_columns(
+                cols, np.argsort(_rank_in(ids, winner_ids)))
             from ..linalg.cholqr import cholqr2
             Qk, _, _ = cholqr2(sel, tier=tier)
             comm.kernel("sparse_qr")
@@ -257,43 +269,40 @@ def spmd_lu_crtp(comm: SimComm, A, *, k: int = 16, tol: float = 1e-2,
         fin = qr_tp_rows(Qk[all_cand], k_i)
         row_winners = all_cand[fin.winners]
 
-        # build the permuted row order: winners first
+        # permute rows (winners first) and split the local non-winner
+        # columns at k_i in one pass; ``local`` itself stays unpermuted and
+        # ``active_rows`` tracks the order
         comm.kernel("permute_rows")
         mask = np.zeros(len(active_rows), dtype=bool)
         mask[row_winners] = True
         new_order = np.concatenate([row_winners, np.flatnonzero(~mask)])
-        local = local[new_order].tocsc()
+        A12_loc, A22_loc = kernels.window_split(
+            local, np.flatnonzero(~won), new_order, k_i, tier=tier)
         comm.charge_mem(16.0 * local.nnz)
         active_rows = active_rows[new_order]
 
         # A11 from the winner columns (on rank 0, then broadcast)
         if comm.rank == 0:
-            sel_perm = sel[new_order].tocsc()
-            A11 = sel_perm[:k_i].toarray()
-            A21 = sel_perm[k_i:].tocsr()
+            A11, _, A21, _ = kernels.permuted_blocks(
+                sel, np.arange(k_i), new_order, k_i, tier=tier)
         else:
             A11 = None
         A11 = comm.bcast(A11, root=0)
 
-        # F = A21 A11^{-1} computed on rank 0, broadcast (k is small)
+        # F = A21 A11^{-1} solved on rank 0, broadcast (k is small)
         if comm.rank == 0:
             comm.kernel("solve")
-            rows = np.flatnonzero(np.diff(A21.indptr))
-            F = sp.lil_matrix((A21.shape[0], k_i))
-            if rows.size:
-                F[rows] = np.linalg.solve(A11.T, A21[rows].toarray().T).T
-                comm.charge_flops(2.0 * k_i * k_i * rows.size)
-            F = F.tocsr()
+            F = schur_multipliers(A11, A21, iteration=it,
+                                  drop_below=_KEEP_NONZERO)
+            f_rows = np.count_nonzero(np.diff(A21.indptr))
+            if f_rows:
+                comm.charge_flops(2.0 * k_i * k_i * f_rows)
         else:
             F = None
         F = comm.bcast(F, root=0)
 
         # Schur update of the local non-winner columns
         comm.kernel("schur")
-        keep = ~np.isin(local_ids, winner_ids)
-        rest = local[:, np.flatnonzero(keep)]
-        A12_loc = rest[:k_i].tocsr()
-        A22_loc = rest[k_i:].tocsr()
         # tol=0.0 is exactly the old ``.tocsc()`` + ``eliminate_zeros()``
         # composition (drop_explicit_zeros with tol=0 only prunes stored
         # zeros); the native tier fuses the whole chain
@@ -304,7 +313,7 @@ def spmd_lu_crtp(comm: SimComm, A, *, k: int = 16, tol: float = 1e-2,
             S_loc = kernels.apply_threshold_mask(
                 S_loc, np.abs(S_loc.data) < threshold, tier=tier)
         local = S_loc
-        local_ids = local_ids[keep]
+        local_ids = local_ids[~won]
         active_rows = active_rows[k_i:]
         K += k_i
 

@@ -378,8 +378,11 @@ class DiskCacheTier:
                     moved.append(dst.name)
                 except OSError:
                     pass
-        self._journal({"op": "quarantine", "id": eid, "reason": reason,
-                       "files": moved})
+        try:
+            self._journal({"op": "quarantine", "id": eid, "reason": reason,
+                           "files": moved})
+        except OSError:
+            pass  # a full disk costs the record, never the request
 
     # -- maintenance ---------------------------------------------------
     def verify(self) -> list[CacheIntegrityError]:

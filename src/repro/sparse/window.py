@@ -91,6 +91,71 @@ def gather_positions(indptr: np.ndarray, cols: np.ndarray
     return pos, counts
 
 
+def _inverse_permutation(row_perm: np.ndarray, m: int) -> np.ndarray:
+    """Position of each original row after the permutation ``row_perm``."""
+    ipos = np.empty(m, dtype=np.int64)
+    ipos[np.asarray(row_perm, dtype=np.int64)] = np.arange(m, dtype=np.int64)
+    return ipos
+
+
+def _sorted_window(active: sp.csc_matrix, cols: np.ndarray,
+                   ipos: np.ndarray):
+    """Entries of the column window ``cols`` as ``(rows, cols, vals)``
+    triples in canonical row-major order of the permuted rows (one gather
+    plus one stable radix sort on the permuted row index)."""
+    m = active.shape[0]
+    pos, counts = gather_positions(active.indptr, cols)
+    r_new = ipos[active.indices[pos]]
+    order = _row_order(r_new, m)
+    rows_s = r_new[order]
+    cols_s = np.repeat(np.arange(len(cols), dtype=np.int64), counts)[order]
+    return rows_s, cols_s, active.data[pos[order]]
+
+
+def _split_window(active: sp.csc_matrix, cols: np.ndarray, ipos: np.ndarray,
+                  k: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """One column window split at permuted row ``k``: rows below ``k`` form
+    a prefix of the sorted entries (the top block), rows at or above ``k``
+    the suffix (the bottom block), both canonical CSR."""
+    m = active.shape[0]
+    ncols = len(cols)
+    rows_s, cols_s, vals_s = _sorted_window(active, cols, ipos)
+    cut = int(np.searchsorted(rows_s, k))
+    top = _csr_from_sorted(vals_s[:cut], rows_s[:cut], cols_s[:cut],
+                           (k, ncols))
+    bottom = _csr_from_sorted(vals_s[cut:], rows_s[cut:] - k, cols_s[cut:],
+                              (m - k, ncols))
+    return top, bottom
+
+
+def _column_ids(ids, n: int) -> np.ndarray:
+    """``ids`` as int64 column ids; ids outside ``[0, n)`` raise
+    :class:`IndexError` (a negative id would otherwise wrap silently)."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise IndexError(f"column id out of range for {n} columns")
+    return ids
+
+
+def window_split(active: sp.csc_matrix, cols, row_perm: np.ndarray,
+                 k: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Fused row permute + column gather + row split of one window.
+
+    Equivalent to ``P = active[row_perm][:, cols]`` followed by
+    ``(P[:k].tocsr(), P[k:].tocsr())`` — the ``A12``/``A22`` pair of the
+    Schur update — with each entry touched once and the permuted matrix
+    never built.  ``active`` must be canonical CSC, ``row_perm`` a
+    permutation of its rows, ``cols`` any column ids (empty allowed) and
+    ``0 < k <= m``.  Both blocks come back as canonical CSR with the values
+    and entry order of that composition.
+    """
+    m, n = active.shape
+    if not 0 < k <= m:
+        raise ValueError(f"invalid split size k={k} for {m} rows")
+    return _split_window(active, _column_ids(cols, n),
+                         _inverse_permutation(row_perm, m), k)
+
+
 def permuted_blocks(active: sp.csc_matrix, col_perm: np.ndarray,
                     row_perm: np.ndarray, k: int):
     """Fused permute + 2x2 split of the active matrix.
@@ -104,25 +169,17 @@ def permuted_blocks(active: sp.csc_matrix, col_perm: np.ndarray,
     Each window (left: selected columns, right: the rest) is processed with
     a single stable radix sort on the permuted row index: rows below ``k``
     then form a prefix (the top block) and rows at or above ``k`` a suffix
-    (the bottom block), both already in canonical row-major order.
+    (the bottom block), both already in canonical row-major order.  The
+    right window is :func:`window_split`'s pass.
     """
     m, n = active.shape
     if not 0 < k <= min(m, n):
         raise ValueError(f"invalid split size k={k} for shape {active.shape}")
-    indptr, indices, data = active.indptr, active.indices, active.data
     q = np.asarray(col_perm, dtype=np.int64)
-    # position of each original row after the permutation
-    ipos = np.empty(m, dtype=np.int64)
-    ipos[np.asarray(row_perm, dtype=np.int64)] = np.arange(m, dtype=np.int64)
+    ipos = _inverse_permutation(row_perm, m)
 
     # ---- left window: the k selected columns -> A11 (dense) + A21 (CSR)
-    pos, counts = gather_positions(indptr, q[:k])
-    r_new = ipos[indices[pos]]
-    order = _row_order(r_new, m)
-    pos_s = pos[order]
-    rows_s = r_new[order]
-    cols_s = np.repeat(np.arange(k, dtype=np.int64), counts)[order]
-    vals_s = data[pos_s]
+    rows_s, cols_s, vals_s = _sorted_window(active, q[:k], ipos)
     cut = int(np.searchsorted(rows_s, k))
     A11d = np.zeros((k, k), dtype=np.float64)
     A11d[rows_s[:cut], cols_s[:cut]] = vals_s[:cut]
@@ -130,19 +187,7 @@ def permuted_blocks(active: sp.csc_matrix, col_perm: np.ndarray,
                            (m - k, k))
 
     # ---- right window: the remaining columns -> A12 (CSR) + A22 (CSR)
-    nrest = n - k
-    pos, counts = gather_positions(indptr, q[k:])
-    r_new = ipos[indices[pos]]
-    order = _row_order(r_new, m)
-    pos_s = pos[order]
-    rows_s = r_new[order]
-    cols_s = np.repeat(np.arange(nrest, dtype=np.int64), counts)[order]
-    vals_s = data[pos_s]
-    cut = int(np.searchsorted(rows_s, k))
-    A12 = _csr_from_sorted(vals_s[:cut], rows_s[:cut], cols_s[:cut],
-                           (k, nrest))
-    A22 = _csr_from_sorted(vals_s[cut:], rows_s[cut:] - k, cols_s[cut:],
-                           (m - k, nrest))
+    A12, A22 = _split_window(active, q[k:], ipos, k)
     return A11d, A12, A21, A22
 
 

@@ -289,6 +289,91 @@ def test_window_parity():
         _assert_bitwise_csr(sp.csr_matrix(P), sp.csr_matrix(N))
 
 
+def _window_case(idx=np.int32, m=90, n=70, seed=11, zeros=False):
+    """Canonical CSC, a column subset and a row permutation; ``zeros``
+    stores explicit +0.0/-0.0 entries the split must carry through."""
+    rng = np.random.default_rng(seed)
+    A = sp.random(m, n, density=0.08, random_state=rng, format="csc")
+    if zeros:
+        A.data[::5] = 0.0
+        A.data[1::7] = -0.0
+    A.indptr = A.indptr.astype(idx)
+    A.indices = A.indices.astype(idx)
+    cols = rng.choice(n, size=n // 2, replace=False)
+    return A, cols, rng.permutation(m)
+
+
+def _scipy_window(A, cols, row_perm, k):
+    P = A[row_perm][:, cols]
+    return P[:k].tocsr(), P[k:].tocsr()
+
+
+@pytest.mark.parametrize("idx", [np.int32, np.int64])
+@pytest.mark.parametrize("k", [1, 17, 90])
+def test_window_split_pure_matches_scipy_slicing(idx, k):
+    A, cols, rp = _window_case(idx, zeros=True)
+    got = kernels.window_split(A, cols, rp, k, tier="pure")
+    for ref, out in zip(_scipy_window(A, cols, rp, k), got):
+        _assert_bitwise_csr(ref, out)
+        assert out.has_canonical_format
+
+
+def test_window_split_empty_column_list():
+    A, _, rp = _window_case()
+    for tier in kernels.available_tiers():
+        top, bottom = kernels.window_split(A, np.zeros(0, np.int64), rp, 5,
+                                           tier=tier)
+        assert top.shape == (5, 0) and bottom.shape == (85, 0)
+        assert top.nnz == bottom.nnz == 0
+        _assert_bitwise_csr(top, _scipy_window(A, [], rp, 5)[0])
+
+
+@pytest.mark.parametrize("tier", ["pure", pytest.param(
+    "native", marks=needs_native)])
+def test_window_split_rejects_bad_arguments(tier):
+    A, cols, rp = _window_case()
+    for k in (0, 91):
+        with pytest.raises(ValueError):
+            kernels.window_split(A, cols, rp, k, tier=tier)
+    for bad in ([70], [-1]):
+        with pytest.raises(IndexError):
+            kernels.window_split(A, bad, rp, 5, tier=tier)
+
+
+@needs_native
+@pytest.mark.parametrize("idx", [np.int32, np.int64])
+@pytest.mark.parametrize("k", [1, 17, 90])
+@pytest.mark.parametrize("zeros", [False, True])
+def test_window_split_parity(idx, k, zeros):
+    A, cols, rp = _window_case(idx, zeros=zeros)
+    ref = kernels.window_split(A, cols, rp, k, tier="pure")
+    got = kernels.window_split(A, cols, rp, k, tier="native")
+    for P, N in zip(ref, got):
+        _assert_bitwise_csr(P, N)
+
+
+@needs_native
+def test_window_split_outside_native_contract_takes_pure_route(monkeypatch):
+    from repro.sparse import window
+    calls = []
+    real = window.window_split
+
+    def spy(*args):
+        calls.append(args[0].indices.dtype)
+        return real(*args)
+
+    monkeypatch.setattr(window, "window_split", spy)
+    A, cols, rp = _window_case()
+    A.indptr = A.indptr.astype(np.int64)   # indptr/indices dtypes differ
+    got = kernels.window_split(A, cols, rp, 9, tier="native")
+    assert calls == [np.dtype(np.int32)]
+    for ref, out in zip(_scipy_window(A, cols, rp, 9), got):
+        _assert_bitwise_csr(ref, out)
+    A, cols, rp = _window_case()
+    kernels.window_split(A, cols, rp, 9, tier="native")
+    assert len(calls) == 1                 # in-contract input stays native
+
+
 # -- column ordering ---------------------------------------------------------
 
 @contextlib.contextmanager

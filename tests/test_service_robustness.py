@@ -291,6 +291,28 @@ def test_corrupted_spill_end_to_end_recompute(tmp_path):
         assert client.metrics()["cache"]["disk"]["corrupt"] == 1
 
 
+def test_quarantine_that_cannot_journal_recomputes(tmp_path, monkeypatch):
+    """A disk too full for the quarantine record still moves the damaged
+    entry aside, and the request recomputes instead of failing."""
+    cache_dir = tmp_path / "spill"
+    with ServiceClient(workers=1, cache_dir=str(cache_dir)) as client:
+        client.solve(lu_request())
+    ChaosDriver(seed=0).corrupt_cache(DiskCacheTier(cache_dir),
+                                      kind="garbage", count=1)
+
+    def full_disk(self, record):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    monkeypatch.setattr(DiskCacheTier, "_journal", full_disk)
+
+    with ServiceClient(workers=1, cache_dir=str(cache_dir)) as client:
+        resp = client.solve(lu_request())
+        assert resp["state"] == "done"
+        assert resp["cache"] == "miss"
+        assert client.metrics()["cache"]["disk"]["corrupt"] == 1
+    moved = sorted(p.suffix for p in (cache_dir / "quarantine").iterdir())
+    assert moved == [".json", ".npz"]
+
+
 # ---------------------------------------------------------------------------
 # Supervision: worker kills, bounded requeues
 # ---------------------------------------------------------------------------
