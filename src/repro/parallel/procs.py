@@ -50,12 +50,40 @@ Because checkpoint resume is bitwise-identical (PR 1's contract), a
 respawned run's factors, pivots and indicators match the fault-free run
 exactly; modeled clocks restart from the resume point and therefore
 count post-recovery work only.
+
+**Rank lifecycle.**  Ranks outlive the call that forked them, as MPI
+ranks outlive one solve: a fresh rank process spends about 0.1 s more
+CPU on its first solve than on the same solve again.  After a call in
+which every rank reported ``ok`` in the first generation, the ranks park
+on their command pipes and the cohort becomes this process's one *idle
+cohort*, keyed by P, the start method and the environment (a forked
+child forgets its parent's idle cohort).  The next call with the same
+key sends its program, the refs of its published arguments and its
+kwargs, pickled, in a ``run`` command; every call is a new generation,
+so frames left over from the last one are dropped.  A new fork serves a
+call whose key differs (the idle cohort is torn down), whose program or
+arguments do not pickle or refer to anything defined in ``__main__``
+(ranks would see the script's globals and functions as they were at
+their fork), or that finds the slot empty (a concurrent call holds the
+cohort).  After an error, a dead rank, a timeout or a respawn round the
+cohort is terminated.  The control block and the published matrices
+are still created and unlinked per call.  Parked ranks exit on
+``exit`` (:func:`release_ranks`, also run at interpreter exit) and when
+their parent dies, and ignore SIGINT: only a running program takes a
+Ctrl-C.
 """
 
 from __future__ import annotations
 
+import atexit
+import io
 import multiprocessing as mp
+import os
+import pickle
+import signal
+import threading
 import time
+import types
 from multiprocessing import shared_memory
 from pathlib import Path
 
@@ -551,88 +579,121 @@ def _exc_from_wire(d: dict, rank: int) -> BaseException:
         f"rank {rank} failed: {d['type']}: {d['message']}")
 
 
-def _await_command(cmd_conn) -> dict | None:
-    """Block on the command pipe until the parent speaks (or dies)."""
+def _peak_rss_mb() -> float:
+    """Peak resident set of this process so far, in MB (``ru_maxrss`` is
+    in KiB on Linux)."""
+    import resource
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _report(result_conn, kind: str, gen: int, payload) -> bool:
+    """Send one report to the parent; False once the pipe is gone."""
+    try:
+        result_conn.send_bytes(
+            transport.encode({"kind": kind, "gen": gen}, payload))
+    except OSError:
+        return False
+    return True
+
+
+def _await_command(cmd_conn, parent: int) -> dict | None:
+    """Block on the command pipe until the parent speaks, or return None
+    once it is gone.
+
+    EOF alone cannot signal the parent's death: under fork every rank
+    inherits a copy of the parent's end of this pipe.  So every poll
+    timeout also compares the parent pid with the one the rank started
+    under.
+    """
     try:
         while True:
             if cmd_conn.poll(1.0):
                 return cmd_conn.recv()
+            if os.getppid() != parent:
+                return None
     except (EOFError, OSError):
-        return None  # parent gone: exit
+        return None
 
 
-def _rank_main(rank: int, nprocs: int, program, args: tuple, kwargs: dict,
-               machine: MachineModel, plan: FaultPlan | None,
-               recv_timeout: float, collective_timeout: float,
-               recv_conns: dict, send_conns: dict, result_conn, cmd_conn,
-               ctrl_name: str, start_gen: int, respawn: bool,
-               trace: bool = False) -> None:
-    """Child entry: run ``program`` once per generation until told to exit.
+def _run_generation(rank: int, nprocs: int, call: dict, args: tuple,
+                    kwargs: dict, plan: FaultPlan | None, gen: int,
+                    channels: dict, send_conns: dict,
+                    ctrl: _CtrlBlock) -> tuple[str, object]:
+    """Run the call's program once; returns ``(kind, payload)`` to report.
 
-    Without respawn (``respawn=False``) this is one shot: run, report
-    ``ok`` or ``err``, exit.  With respawn, a rank that unwinds with a
-    *peer's* :class:`RankFailure` reports ``quiesced`` and blocks on the
-    command pipe; a ``resume`` command carries the next generation number,
-    the filtered fault plan, and the checkpoint to resume from.  A rank's
-    *own* death (injected crash, program error) is always fatal to the
-    process — the parent respawns a fresh one.
+    A rank that unwinds with a *peer's* :class:`RankFailure` under respawn
+    reports ``quiesced``; any other failure is the rank's own and ``err``.
     """
-    attached = []
-    ctrl = None
-    # P rank processes already occupy P cores: one BLAS thread and one
-    # OpenMP SpGEMM thread per rank, so ranks never oversubscribe the host
-    pin_rank()
+    for ch in channels.values():
+        ch.set_generation(gen)
+    injector = plan.build() if plan is not None else None
+    comm = ProcComm(rank, nprocs, call["machine"], channels, send_conns,
+                    ctrl, injector, call["recv_timeout"],
+                    call["collective_timeout"], gen=gen,
+                    trace=call["trace"])
     try:
-        ctrl = _CtrlBlock(nprocs, name=ctrl_name)
-        args, attached = resolve_args(args)
-        channels = {src: transport.Channel(conn)
-                    for src, conn in recv_conns.items()}
-        gen = int(start_gen)
-        kwargs = dict(kwargs)
+        result = call["program"](comm, *args, **kwargs)
+        payload = {
+            "result": result,
+            "clock": comm.clock(),
+            "kernel_times": {k: v for (k, _r), v
+                             in comm.kernel_times.items()},
+            "ledger": comm.ledger.to_dict(),
+            "superstep": comm.superstep,
+            "peak_rss_mb": _peak_rss_mb(),
+        }
+        if comm.tracer is not None:
+            payload["trace"] = comm.tracer.to_wire()
+        return "ok", payload
+    except RankFailure as exc:
+        if (call["respawn"] and not exc.injected
+                and exc.rank is not None and exc.rank != rank):
+            # a peer died: unwound cleanly, park for the respawn
+            return "quiesced", {"superstep": comm.superstep,
+                                "cause_rank": int(exc.rank)}
+        ctrl.mark_failed(rank, comm.superstep)
+        return "err", _exc_to_wire(exc)
+    except BaseException as exc:  # noqa: BLE001 - crosses processes
+        ctrl.mark_failed(rank, comm.superstep)
+        return "err", _exc_to_wire(exc)
+
+
+def _serve_call(rank: int, nprocs: int, call: dict, channels: dict,
+                send_conns: dict, result_conn, cmd_conn, parent: int,
+                sigint) -> dict | None:
+    """Serve one ``run_spmd`` call: one program run per generation.
+
+    Returns the command that follows the call (``run`` or ``exit``), or
+    None when the rank must exit: its own failure, a lost pipe or a gone
+    parent.  The call's shared memory is unmapped before the rank parks.
+    SIGINT takes its ``sigint`` handler only while the program runs.
+    """
+    gen = int(call["gen"])
+    attached: list = []
+    ctrl = args = None
+    try:
+        # P rank processes already occupy P cores: one BLAS thread and
+        # one OpenMP SpGEMM thread per rank, whatever the last call left
+        pin_rank()
+        ctrl = _CtrlBlock(nprocs, name=call["ctrl"])
+        args, attached = resolve_args(call["args"])
+        kwargs, plan = dict(call["kwargs"]), call["plan"]
         while True:
-            for ch in channels.values():
-                ch.set_generation(gen)
-            injector = plan.build() if plan is not None else None
-            comm = ProcComm(rank, nprocs, machine, channels, send_conns,
-                            ctrl, injector, recv_timeout,
-                            collective_timeout, gen=gen, trace=trace)
-            fatal = False
+            signal.signal(signal.SIGINT, sigint)
             try:
-                result = program(comm, *args, **kwargs)
-                kind, payload = "ok", {
-                    "result": result,
-                    "clock": comm.clock(),
-                    "kernel_times": {k: v for (k, _r), v
-                                     in comm.kernel_times.items()},
-                    "ledger": comm.ledger.to_dict(),
-                    "superstep": comm.superstep,
-                }
-                if comm.tracer is not None:
-                    payload["trace"] = comm.tracer.to_wire()
-            except RankFailure as exc:
-                if (respawn and not exc.injected
-                        and exc.rank is not None and exc.rank != rank):
-                    # a peer died: unwound cleanly, park for the respawn
-                    kind, payload = "quiesced", {
-                        "superstep": comm.superstep,
-                        "cause_rank": int(exc.rank),
-                    }
-                else:
-                    ctrl.mark_failed(rank, comm.superstep)
-                    kind, payload, fatal = "err", _exc_to_wire(exc), True
-            except BaseException as exc:  # noqa: BLE001 - crosses processes
-                ctrl.mark_failed(rank, comm.superstep)
-                kind, payload, fatal = "err", _exc_to_wire(exc), True
-            try:
-                result_conn.send_bytes(
-                    transport.encode({"kind": kind, "gen": gen}, payload))
-            except OSError:
-                return
-            if fatal or not respawn:
-                return
-            cmd = _await_command(cmd_conn)
+                kind, payload = _run_generation(
+                    rank, nprocs, call, args, kwargs, plan, gen, channels,
+                    send_conns, ctrl)
+            finally:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+            if not _report(result_conn, kind, gen, payload) \
+                    or kind == "err":
+                return None
+            if not call["respawn"]:
+                break
+            cmd = _await_command(cmd_conn, parent)
             if cmd is None or cmd.get("op") != "resume":
-                return
+                return cmd
             gen = int(cmd["gen"])
             plan = cmd.get("plan")
             if cmd.get("resume_from") is not None:
@@ -640,17 +701,54 @@ def _rank_main(rank: int, nprocs: int, program, args: tuple, kwargs: dict,
     except BaseException as exc:  # noqa: BLE001 - setup failure
         if ctrl is not None:
             ctrl.mark_failed(rank, 0)
-        try:
-            result_conn.send_bytes(
-                transport.encode({"kind": "err", "gen": int(start_gen)},
-                                 _exc_to_wire(exc)))
-        except OSError:
-            pass
+        _report(result_conn, "err", gen, _exc_to_wire(exc))
+        return None
     finally:
+        args = None  # drop the views before unmapping
         for h in attached:
             h.close()
         if ctrl is not None:
             ctrl.close()
+    return _await_command(cmd_conn, parent)
+
+
+def _rank_main(rank: int, nprocs: int, call: dict, recv_conns: dict,
+               send_conns: dict, result_conn, cmd_conn) -> None:
+    """Child entry: serve calls until told to exit or orphaned.
+
+    ``call`` is the first call, handed over at start.  After reporting
+    ``ok`` (or ``quiesced``) the rank parks on its command pipe, which
+    takes three commands: ``resume`` (the next generation of the current
+    call, under respawn), ``run`` (the next call, pickled) and ``exit``.
+    A rank's *own* failure (injected crash, program error) is always
+    fatal to the process.  A ``run`` this process cannot unpickle (a
+    program defined after the fork) is reported as ``reject``, and the
+    parent forks a fresh cohort for it.
+
+    A Ctrl-C at the terminal reaches the whole process group, ranks
+    included.  Only a running program takes it, with the handler the
+    rank started with; between programs a rank ignores SIGINT, and the
+    parent decides whether its ranks go.
+    """
+    sigint = signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if sigint is None:  # installed outside Python
+        sigint = signal.default_int_handler
+    parent = os.getppid()
+    channels = {src: transport.Channel(conn)
+                for src, conn in recv_conns.items()}
+    try:
+        while True:
+            cmd = _serve_call(rank, nprocs, call, channels, send_conns,
+                              result_conn, cmd_conn, parent, sigint)
+            if cmd is None or cmd.get("op") != "run":
+                return
+            try:
+                call = dict(pickle.loads(cmd["call"]), gen=cmd["gen"])
+            except Exception as exc:  # noqa: BLE001 - reported, not run
+                _report(result_conn, "reject", cmd["gen"],
+                        _exc_to_wire(exc))
+                return
+    finally:
         for conn in (result_conn, cmd_conn):
             try:
                 conn.close()
@@ -659,13 +757,285 @@ def _rank_main(rank: int, nprocs: int, program, args: tuple, kwargs: dict,
 
 
 # ---------------------------------------------------------------------------
-# parent driver
+# rank cohorts: forked once, parked between calls
 # ---------------------------------------------------------------------------
 
 def _default_context() -> mp.context.BaseContext:
     methods = mp.get_all_start_methods()
     return mp.get_context("fork" if "fork" in methods else "spawn")
 
+
+class _Cohort:
+    """P rank processes and every pipe they were started with.
+
+    One half-duplex pipe per ordered rank pair, plus a result pipe and a
+    duplex command pipe per rank.  The parent keeps *both* ends of every
+    pipe so a respawned process can be handed the exact routes its
+    predecessor used (works under fork and spawn alike).
+    """
+
+    def __init__(self, nprocs: int, ctx: mp.context.BaseContext, key):
+        self.nprocs = nprocs
+        self.ctx = ctx
+        self.key = key
+        self.next_gen = 0
+        self.procs: list = [None] * nprocs
+        self.conns: list = []
+        route_r: dict[tuple[int, int], object] = {}
+        route_w: dict[tuple[int, int], object] = {}
+        for s in range(nprocs):
+            for d in range(nprocs):
+                if s != d:
+                    route_r[(s, d)], route_w[(s, d)] = self._pipe(False)
+        self.result_conns: list = []
+        self.cmd_conns: list = []
+        self._child_ends: list = []
+        for rank in range(nprocs):
+            pr, pw = self._pipe(False)
+            cparent, cchild = self._pipe(True)
+            self.result_conns.append(pr)
+            self.cmd_conns.append(cparent)
+            self._child_ends.append((
+                {s: route_r[(s, rank)] for s in range(nprocs) if s != rank},
+                {d: route_w[(rank, d)] for d in range(nprocs) if d != rank},
+                pw, cchild))
+
+    def _pipe(self, duplex: bool) -> tuple:
+        ends = self.ctx.Pipe(duplex=duplex)
+        self.conns.extend(ends)
+        return ends
+
+    def spawn(self, rank: int, call: dict) -> None:
+        p = self.ctx.Process(
+            target=_rank_main,
+            args=(rank, self.nprocs, call, *self._child_ends[rank]),
+            daemon=True)
+        self.procs[rank] = p
+        p.start()
+
+    def alive(self) -> bool:
+        return all(p is not None and p.is_alive() for p in self.procs)
+
+    def kill(self) -> None:
+        """Terminate every live rank, reap them all, close every pipe."""
+        for p in self.procs:
+            if p is not None and p.is_alive():
+                p.terminate()
+        for p in self.procs:
+            if p is not None and p.pid is not None:
+                p.join(timeout=5.0)
+        for conn in self.conns:
+            try:
+                conn.close()
+            except OSError:
+                pass
+
+    def release(self) -> None:
+        """Tell parked ranks to exit, then :meth:`kill` the stragglers."""
+        for conn in self.cmd_conns:
+            try:
+                conn.send({"op": "exit"})
+            except OSError:
+                pass
+        deadline = time.monotonic() + 5.0
+        for p in self.procs:
+            if p is not None and p.pid is not None:
+                p.join(timeout=max(deadline - time.monotonic(), 0.0))
+        self.kill()
+
+
+#: The one idle cohort of this process, and the lock that guards only
+#: taking it out of and putting it into the slot.
+_idle_lock = threading.Lock()
+_idle: _Cohort | None = None
+
+
+def _cohort_key(nprocs: int, ctx: mp.context.BaseContext) -> tuple:
+    """What a cohort must match to serve a call.  Ranks read
+    ``REPRO_SANITIZE``, the kernel tier, cache and thread variables from
+    their own environment, fixed when they were started."""
+    return (nprocs, ctx.get_start_method(),
+            tuple(sorted(os.environ.items())))
+
+
+def _pop_idle() -> _Cohort | None:
+    global _idle
+    with _idle_lock:
+        cohort, _idle = _idle, None
+    return cohort
+
+
+def _take_idle(key: tuple) -> _Cohort | None:
+    """The idle cohort if it matches ``key`` and every rank still lives;
+    an idle cohort that does not is torn down."""
+    cohort = _pop_idle()
+    if cohort is not None and (cohort.key != key or not cohort.alive()):
+        cohort.release()
+        cohort = None
+    return cohort
+
+
+def _park(cohort: _Cohort) -> None:
+    """Keep ``cohort`` for the next call; torn down if the slot is full."""
+    global _idle
+    with _idle_lock:
+        if _idle is None:
+            _idle, cohort = cohort, None
+    if cohort is not None:
+        cohort.release()
+
+
+def release_ranks() -> None:
+    """Tear down this process's idle rank cohort, if any.
+
+    Parked ranks are told to exit, joined with a timeout, and terminated
+    if they have not gone by then.  Registered with :mod:`atexit`; tests
+    and benchmarks call it to start from a fresh fork.
+    """
+    cohort = _pop_idle()
+    if cohort is not None:
+        cohort.release()
+
+
+def _forget_idle() -> None:
+    """A forked child neither uses nor tears down its parent's ranks."""
+    global _idle_lock, _idle
+    _idle_lock = threading.Lock()
+    _idle = None
+
+
+atexit.register(release_ranks)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_idle)
+
+
+def _fork_cohort(nprocs: int, ctx: mp.context.BaseContext, key: tuple,
+                 call: dict) -> _Cohort:
+    cohort = _Cohort(nprocs, ctx, key)
+    try:
+        for rank in range(nprocs):
+            cohort.spawn(rank, dict(call, gen=0))
+    except BaseException:
+        cohort.kill()
+        raise
+    return cohort
+
+
+class _CallPickler(pickle.Pickler):
+    """Pickles a call for parked ranks, refusing whatever ``__main__``
+    defines: a rank would look it up in its own copy of the script's
+    module, frozen when the rank was forked, and run a redefined
+    function's old body or read a global's old value."""
+
+    def reducer_override(self, obj):
+        if isinstance(obj, (type, types.FunctionType)) \
+                and getattr(obj, "__module__", None) == "__main__":
+            raise pickle.PicklingError(
+                f"{obj.__qualname__} is defined in __main__")
+        return NotImplemented
+
+
+def _pickle_call(call: dict) -> bytes | None:
+    """``call`` as parked ranks receive it, or None when only a fresh fork
+    can carry it (closures, lambdas, locks, anything from ``__main__``)."""
+    buf = io.BytesIO()
+    try:
+        _CallPickler(buf, protocol=pickle.HIGHEST_PROTOCOL).dump(call)
+    except Exception:  # noqa: BLE001 - whatever the reason, a fork carries it
+        return None
+    return buf.getvalue()
+
+
+def _start_call(nprocs: int, ctx: mp.context.BaseContext,
+                call: dict) -> tuple[_Cohort, int]:
+    """Hand ``call`` to the idle cohort when it matches, else fork one.
+
+    Only a call that :func:`_pickle_call` accepts travels to parked
+    ranks; any other reaches its ranks by being inherited at a fresh fork
+    and leaves the idle cohort parked.  Returns the cohort and the call's
+    first generation.
+    """
+    key = _cohort_key(nprocs, ctx)
+    cohort = _take_idle(key)
+    blob = _pickle_call(call) if cohort is not None else None
+    if cohort is not None and blob is None:
+        _park(cohort)
+        cohort = None
+    if cohort is None:
+        return _fork_cohort(nprocs, ctx, key, call), 0
+    gen = cohort.next_gen
+    try:
+        for conn in cohort.cmd_conns:
+            conn.send({"op": "run", "gen": gen, "call": blob})
+    except BaseException:
+        cohort.kill()
+        raise
+    return cohort, gen
+
+
+def _collect(cohort: _Cohort, ctrl: _CtrlBlock, gen: int, *,
+             respawn: bool, join_timeout: float,
+             quiesce_timeout: float) -> dict | None:
+    """Collect one generation: every rank reports or dies.
+
+    Returns ``{rank: (kind, payload_or_error)}``, or None as soon as a
+    rank rejects the call (it could not load it; see :func:`_rank_main`).
+    """
+    status: dict[int, tuple[str, object]] = {}
+    pending = set(range(cohort.nprocs))
+    deadline = time.monotonic() + float(join_timeout)
+    quiesce_deadline = None
+    while pending:
+        progressed = False
+        for rank in list(pending):
+            conn = cohort.result_conns[rank]
+            proc = cohort.procs[rank]
+            if conn.poll(0.01):
+                env, payload = transport.decode(conn.recv_bytes())
+                if int(env.get("gen", 0)) != gen:
+                    progressed = True
+                    continue  # stale report from a dead generation
+                kind = env["kind"]
+                if kind == "reject":
+                    return None
+                if kind == "err":
+                    status[rank] = ("err", _exc_from_wire(payload, rank))
+                else:
+                    status[rank] = (kind, payload)
+                pending.discard(rank)
+                progressed = True
+            elif proc.exitcode is not None:
+                # died without reporting (hard crash / kill)
+                status[rank] = ("dead", RankFailure(
+                    f"rank {rank} process exited with code "
+                    f"{proc.exitcode} without reporting",
+                    rank=rank, superstep=ctrl.superstep_of(rank)))
+                ctrl.mark_failed(rank, max(ctrl.superstep_of(rank), 0))
+                pending.discard(rank)
+                progressed = True
+        if pending and respawn and quiesce_deadline is None \
+                and any(k in ("err", "dead") for k, _ in status.values()):
+            quiesce_deadline = time.monotonic() + float(quiesce_timeout)
+        if pending and quiesce_deadline is not None \
+                and time.monotonic() > quiesce_deadline:
+            for rank in pending:  # straggler: respawn it too
+                cohort.procs[rank].terminate()
+            quiesce_deadline = time.monotonic() + 5.0
+        if pending and not progressed and time.monotonic() > deadline:
+            stuck = sorted(pending)
+            detail = ", ".join(
+                f"rank {r} at superstep {ctrl.superstep_of(r)}"
+                for r in stuck)
+            raise CommTimeoutError(
+                f"procs backend: {len(stuck)} rank(s) still running after "
+                f"join timeout {join_timeout:g}s ({detail})",
+                timeout=float(join_timeout))
+    return status
+
+
+# ---------------------------------------------------------------------------
+# parent driver
+# ---------------------------------------------------------------------------
 
 def run_spmd_procs(nprocs: int, program, *args,
                    machine: MachineModel | None = None,
@@ -684,8 +1054,10 @@ def run_spmd_procs(nprocs: int, program, *args,
     ``backend="procs"``; the signature mirrors the thread path.  Extra
     knobs: ``join_timeout`` bounds each generation in real time,
     ``mp_context`` overrides the start method (default ``fork`` where
-    available — rank startup is milliseconds; ``spawn`` re-imports the
-    library per rank).
+    available; ``spawn`` re-imports the library per rank).  Ranks are
+    kept alive between calls: a call that matches the idle cohort runs
+    on it, any other forks a fresh one (see "Rank lifecycle" in the
+    module docstring).
 
     ``max_rank_restarts > 0`` enables rank respawn: up to that many
     recovery rounds turn a :class:`RankFailure` into a respawn of the
@@ -697,7 +1069,8 @@ def run_spmd_procs(nprocs: int, program, *args,
     ``quiesce_timeout`` bounds how long the parent waits for survivors to
     notice a death and park; stragglers past it are terminated and
     respawned too.  The returned dict reports the recovery count under
-    ``"restarts"``.
+    ``"restarts"`` and each rank process's peak resident set under
+    ``"rank_peak_rss_mb"``.
     """
     from .comm import _error_priority
 
@@ -721,122 +1094,33 @@ def run_spmd_procs(nprocs: int, program, *args,
     t_wall = time.perf_counter()
     shm_args, published = publish_args(args)
     ctrl = _CtrlBlock(nprocs)
-    procs: list = [None] * nprocs
-    result_conns: list = [None] * nprocs
-    child_result_conns: list = [None] * nprocs
-    cmd_conns: list = [None] * nprocs
-    child_cmd_conns: list = [None] * nprocs
-    child_recv: list = [None] * nprocs
-    child_send: list = [None] * nprocs
-    all_conns: list = []
+    call = {"program": program, "args": shm_args, "kwargs": kwargs,
+            "machine": machine, "plan": plan,
+            "recv_timeout": float(recv_timeout),
+            "collective_timeout": float(collective_timeout),
+            "ctrl": ctrl.name, "respawn": respawn, "trace": bool(trace)}
+    cohort = None
+    clean = False
     restarts = 0
     active_plan = plan
 
-    def spawn(rank: int, gen: int, extra_kwargs: dict | None) -> None:
-        p = ctx.Process(
-            target=_rank_main,
-            args=(rank, nprocs, program,
-                  shm_args, extra_kwargs or kwargs, machine, active_plan,
-                  float(recv_timeout), float(collective_timeout),
-                  child_recv[rank], child_send[rank],
-                  child_result_conns[rank], child_cmd_conns[rank],
-                  ctrl.name, gen, respawn, bool(trace)),
-            daemon=True)
-        procs[rank] = p
-        p.start()
-
     try:
-        # one half-duplex pipe per ordered rank pair, plus a result pipe
-        # and a duplex command pipe per rank.  The parent keeps *both*
-        # ends of every pipe so a respawned process can be handed the
-        # exact same routes its predecessor used (works under fork and
-        # spawn alike).
-        route_r: dict[tuple[int, int], object] = {}
-        route_w: dict[tuple[int, int], object] = {}
-        for s in range(nprocs):
-            for d in range(nprocs):
-                if s == d:
-                    continue
-                r_conn, w_conn = ctx.Pipe(duplex=False)
-                route_r[(s, d)] = r_conn
-                route_w[(s, d)] = w_conn
-                all_conns.extend([r_conn, w_conn])
-        for rank in range(nprocs):
-            pr, pw = ctx.Pipe(duplex=False)
-            cparent, cchild = ctx.Pipe(duplex=True)
-            result_conns[rank] = pr
-            child_result_conns[rank] = pw
-            cmd_conns[rank] = cparent
-            child_cmd_conns[rank] = cchild
-            all_conns.extend([pr, pw, cparent, cchild])
-            child_recv[rank] = {s: route_r[(s, rank)]
-                                for s in range(nprocs) if s != rank}
-            child_send[rank] = {d: route_w[(rank, d)]
-                                for d in range(nprocs) if d != rank}
-        gen = 0
-        for rank in range(nprocs):
-            spawn(rank, gen, None)
-
-        reports: list = [None] * nprocs
+        cohort, gen = _start_call(nprocs, ctx, call)
         while True:
-            # -- collect one generation: every rank reports or dies -----
-            status: dict[int, tuple[str, object]] = {}
-            pending = set(range(nprocs))
-            deadline = time.monotonic() + float(join_timeout)
-            quiesce_deadline = None
-            while pending:
-                progressed = False
-                for rank in list(pending):
-                    conn = result_conns[rank]
-                    if conn.poll(0.01):
-                        env, payload = transport.decode(conn.recv_bytes())
-                        if int(env.get("gen", 0)) != gen:
-                            progressed = True
-                            continue  # stale report from a dead generation
-                        kind = env["kind"]
-                        if kind == "err":
-                            status[rank] = (
-                                "err", _exc_from_wire(payload, rank))
-                        else:
-                            status[rank] = (kind, payload)
-                        pending.discard(rank)
-                        progressed = True
-                    elif procs[rank].exitcode is not None:
-                        # died without reporting (hard crash / kill)
-                        status[rank] = ("dead", RankFailure(
-                            f"rank {rank} process exited with code "
-                            f"{procs[rank].exitcode} without reporting",
-                            rank=rank, superstep=ctrl.superstep_of(rank)))
-                        ctrl.mark_failed(rank,
-                                         max(ctrl.superstep_of(rank), 0))
-                        pending.discard(rank)
-                        progressed = True
-                if pending and respawn and quiesce_deadline is None \
-                        and any(k in ("err", "dead")
-                                for k, _ in status.values()):
-                    quiesce_deadline = (time.monotonic()
-                                        + float(quiesce_timeout))
-                if pending and quiesce_deadline is not None \
-                        and time.monotonic() > quiesce_deadline:
-                    for rank in pending:  # straggler: respawn it too
-                        procs[rank].terminate()
-                    quiesce_deadline = time.monotonic() + 5.0
-                if pending and not progressed \
-                        and time.monotonic() > deadline:
-                    stuck = sorted(pending)
-                    detail = ", ".join(
-                        f"rank {r} at superstep {ctrl.superstep_of(r)}"
-                        for r in stuck)
-                    raise CommTimeoutError(
-                        f"procs backend: {len(stuck)} rank(s) still "
-                        f"running after join timeout {join_timeout:g}s "
-                        f"({detail})", timeout=float(join_timeout))
-
+            status = _collect(cohort, ctrl, gen, respawn=respawn,
+                              join_timeout=join_timeout,
+                              quiesce_timeout=quiesce_timeout)
+            if status is None:  # parked ranks could not load the call
+                cohort.kill()
+                ctrl.reset()
+                cohort, gen = _fork_cohort(nprocs, ctx, cohort.key, call), 0
+                continue
             failed = {r: e for r, (k, e) in status.items()
                       if k in ("err", "dead")}
             if not failed:
                 if all(status[r][0] == "ok" for r in range(nprocs)):
                     reports = [status[r][1] for r in range(nprocs)]
+                    clean = restarts == 0
                     break
                 # all-quiesced without a recorded death (e.g. a stale
                 # ctrl flag): treat as one more recovery round
@@ -865,32 +1149,24 @@ def run_spmd_procs(nprocs: int, program, *args,
                           "resume_from": resume}
             for rank in range(nprocs):
                 kind = status[rank][0]
-                if kind in ("ok", "quiesced") and procs[rank].is_alive():
-                    cmd_conns[rank].send(resume_cmd)
+                proc = cohort.procs[rank]
+                if kind in ("ok", "quiesced") and proc.is_alive():
+                    cohort.cmd_conns[rank].send(resume_cmd)
                 else:
-                    procs[rank].join(timeout=5.0)
-                    spawn(rank, gen,
-                          dict(kwargs, resume_from=resume) if resume
-                          else None)
-
-        if respawn:
-            for conn in cmd_conns:
-                try:
-                    conn.send({"op": "exit"})
-                except (OSError, BrokenPipeError):
-                    pass
+                    proc.join(timeout=5.0)
+                    cohort.spawn(rank, dict(
+                        call, gen=gen, plan=active_plan,
+                        kwargs=(dict(kwargs, resume_from=resume)
+                                if resume else kwargs)))
     finally:
-        for p in procs:
-            if p is not None and p.is_alive():
-                p.terminate()
-        for p in procs:
-            if p is not None and p.pid is not None:
-                p.join(timeout=5.0)
-        for conn in all_conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
+        # only a cohort whose every rank reported ok in the call's first
+        # generation is kept; after any trouble it goes, as it came
+        if cohort is not None:
+            if clean:
+                cohort.next_gen = gen + 1
+                _park(cohort)
+            else:
+                cohort.kill()
         for shared in published:
             shared.close()
         ctrl.close()
@@ -911,6 +1187,7 @@ def run_spmd_procs(nprocs: int, program, *args,
                                   algo=machine.comm_algo),
         "backend": "procs",
         "restarts": restarts,
+        "rank_peak_rss_mb": [float(rep["peak_rss_mb"]) for rep in reports],
         "wall_seconds": time.perf_counter() - t_wall,
     }
     if trace:

@@ -451,10 +451,11 @@ def run_spmd_solver(method: str, A, nprocs: int, *, k: int = 16,
     ``"procs"``, see :func:`repro.parallel.comm.run_spmd`); when the caller
     passes a ``run_info`` dict it is filled in place with the run's
     metadata (``backend``, ``comm`` volume summary, ``wall_seconds``,
-    modeled ``elapsed`` and ``kernel_seconds``) for reporting; with
-    ``trace=True`` it also carries the captured
-    :class:`repro.trace.CommTrace` under ``"trace"`` and the per-rank
-    ledger dicts under ``"ledgers"``.  ``run_kwargs`` pass through to
+    modeled ``elapsed`` and ``kernel_seconds``) for reporting; on the
+    procs backend also each rank process's peak resident set in MB under
+    ``"rank_peak_rss_mb"``.  With ``trace=True`` it also carries the
+    captured :class:`repro.trace.CommTrace` under ``"trace"`` and the
+    per-rank ledger dicts under ``"ledgers"``.  ``run_kwargs`` pass through to
     ``run_spmd`` (``machine=``, ``trace=``, ``fault_plan=``,
     ``recv_timeout=``, ...).  Like every library call it runs BLAS
     single-threaded, the parent-side assembly included (see
@@ -469,7 +470,7 @@ def run_spmd_solver(method: str, A, nprocs: int, *, k: int = 16,
             for key in ("backend", "comm", "wall_seconds", "elapsed",
                         "kernel_seconds"):
                 run_info[key] = out.get(key)
-            for key in ("trace", "ledgers"):
+            for key in ("trace", "ledgers", "rank_peak_rss_mb"):
                 if key in out:
                     run_info[key] = out[key]
         return out

@@ -7,6 +7,24 @@ import pytest
 import scipy.sparse as sp
 
 
+@pytest.fixture(scope="session", autouse=True)
+def no_rank_or_segment_survives():
+    """Fail the session if a procs rank process or a shared-memory segment
+    of this process outlives it: the idle rank cohort is released first,
+    so anything left is a leak."""
+    yield
+    import multiprocessing as mp
+
+    from repro.parallel.procs import release_ranks
+    from repro.parallel.shm import shm_segments
+    release_ranks()
+    alive = mp.active_children()
+    leaked = shm_segments()
+    assert not alive and not leaked, (
+        f"rank processes {[p.pid for p in alive]} or shared-memory "
+        f"segments {leaked} outlived the test session")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
