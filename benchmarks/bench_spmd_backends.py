@@ -24,6 +24,11 @@ gate is machine-independent:
   (drift here means the backends diverged);
 - the modeled clock must keep improving from P=1 to P=4 (the scaling
   property Fig. 4 is built on);
+- in ``--quick`` mode, bytes and messages per (method, P) must equal
+  ``QUICK_COMM`` exactly: the ledger counts what each collective puts on
+  the wire, which depends on the schedule and never on the host, so a
+  re-added or widened collective fails CI (regenerate the pin
+  deliberately when the schedule changes);
 - on hosts with >= 4 cores, procs at P=4 must additionally beat procs
   at P=1 on wall-clock.
 
@@ -55,6 +60,15 @@ from repro.parallel.procs import release_ranks  # noqa: E402
 from repro.parallel.spmd import spmd_lu_crtp, spmd_randqb_ei  # noqa: E402
 
 PS = (1, 2, 4, 8)
+
+#: Counted comm of the ``--quick`` run, ``(bytes_sent, msgs)`` per method
+#: and P, identical on both backends.
+QUICK_COMM = {
+    "spmd_lu_crtp": {"1": (0, 0), "2": (809_272, 261),
+                     "4": (2_423_580, 804), "8": (5_639_860, 1876)},
+    "spmd_randqb_ei": {"1": (0, 0), "2": (2_973_840, 378),
+                       "4": (9_147_312, 1134), "8": (22_397_424, 2646)},
+}
 
 
 def _m2_analogue(n: int) -> sp.csr_matrix:
@@ -144,8 +158,12 @@ def run(quick: bool, repeats: int) -> dict:
     return out
 
 
-def check_regression(results: dict) -> list[str]:
-    """Machine-independent gates; returns a list of failure strings."""
+def check_regression(results: dict, pinned: dict | None = None
+                     ) -> list[str]:
+    """Machine-independent gates; returns a list of failure strings.
+
+    ``pinned`` (``QUICK_COMM`` for a quick run) maps method and P to the
+    exact ``(bytes_sent, msgs)`` the run must count."""
     bad = []
     multicore = (results["host"]["cpu_count"] or 1) >= 4
     for name, rows in results["benches"].items():
@@ -159,6 +177,12 @@ def check_regression(results: dict) -> list[str]:
                            f"disagree on bytes_sent/msgs "
                            f"({e['threads']['comm']} vs "
                            f"{e['procs']['comm']})")
+        for p, want in (pinned or {}).get(name, {}).items():
+            comm = rows[p]["threads"]["comm"]
+            got = (comm["bytes_sent"], comm["msgs"])
+            if got != want:
+                bad.append(f"{name} P={p}: counted comm {got} "
+                           f"(bytes_sent, msgs) != pinned {want}")
         if rows["4"]["modeled_s"] >= rows["1"]["modeled_s"]:
             bad.append(f"{name}: modeled clock does not improve from "
                        "P=1 to P=4")
@@ -180,8 +204,9 @@ def main(argv=None) -> int:
     ap.add_argument("--output", default=str(REPO_ROOT / "BENCH_spmd.json"),
                     help="JSON output path")
     ap.add_argument("--check-regression", action="store_true",
-                    help="exit nonzero when backends diverge or the "
-                         "modeled clock stops scaling")
+                    help="exit nonzero when backends diverge, the "
+                         "modeled clock stops scaling or (with --quick) "
+                         "the counted comm leaves QUICK_COMM")
     args = ap.parse_args(argv)
 
     repeats = args.repeats or (1 if args.quick else 3)
@@ -203,13 +228,14 @@ def main(argv=None) -> int:
     print(f"wrote {out} (host: {results['host']['cpu_count']} cores)")
 
     if args.check_regression:
-        bad = check_regression(results)
+        bad = check_regression(results,
+                               QUICK_COMM if args.quick else None)
         if bad:
             for b in bad:
                 print(f"REGRESSION: {b}", file=sys.stderr)
             return 1
-        print("regression check passed (backend parity, ledger parity + "
-              "modeled scaling)")
+        print("regression check passed (backend parity, ledger parity"
+              f"{', pinned comm' if args.quick else ''} + modeled scaling)")
     return 0
 
 

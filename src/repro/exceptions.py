@@ -102,6 +102,23 @@ class CollectiveMismatchError(CommunicatorError):
         self.site_b = site_b
 
 
+class PayloadIntegrityError(CommunicatorError):
+    """Data that crossed the wire differs from its owner's copy.
+
+    Raised on every rank of an SPMD LU run when a winning column of the
+    column tournament reached the ranks altered: its owner compares the
+    broadcast copy with its own block before any rank uses it.  ``ranks``
+    lists the owners that saw a mismatch, ``iteration`` the outer
+    iteration it happened in.
+    """
+
+    def __init__(self, message: str, *, ranks: tuple[int, ...] = (),
+                 iteration: int | None = None):
+        super().__init__(message)
+        self.ranks = tuple(ranks)
+        self.iteration = iteration
+
+
 class CommTimeoutError(CommunicatorError):
     """A simulated ``recv`` (or retry sequence) exhausted its timeout.
 

@@ -31,6 +31,7 @@ from ..exceptions import (
     CollectiveMismatchError,
     CommTimeoutError,
     CommunicatorError,
+    PayloadIntegrityError,
     RankFailure,
 )
 from ..kernels.threads import one_blas_thread
@@ -461,12 +462,12 @@ def _payload_bytes(obj) -> float:
 def _error_priority(exc: BaseException) -> int:
     """Rank the per-thread errors of one run so the most *causal* one is
     re-raised: the injected crash first, then a sanitizer-detected
-    collective mismatch, then genuine program errors, then the secondary
-    failures healthy ranks observe (dead peer, lost message), then generic
-    aborted-collective noise."""
+    collective mismatch or an altered payload, then genuine program
+    errors, then the secondary failures healthy ranks observe (dead peer,
+    lost message), then generic aborted-collective noise."""
     if isinstance(exc, RankFailure) and exc.injected:
         return 0
-    if isinstance(exc, CollectiveMismatchError):
+    if isinstance(exc, (CollectiveMismatchError, PayloadIntegrityError)):
         return 1
     if not isinstance(exc, CommunicatorError):
         return 2

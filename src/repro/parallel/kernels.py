@@ -23,6 +23,7 @@ from ..exceptions import CommTimeoutError
 from ..pivoting.select import select_columns
 from ..pivoting.tournament import qr_tp
 from ..sparse.window import extract_leading_columns
+from . import sanitize
 from .comm import SimComm
 
 
@@ -119,7 +120,7 @@ def par_tournament_columns(comm: SimComm, local_block: sp.csc_matrix,
                            local_ids: np.ndarray, k: int,
                            *, method: str = "gram",
                            tier: str | None = None
-                           ) -> tuple[np.ndarray, np.ndarray]:
+                           ) -> tuple[np.ndarray, sp.csc_matrix, np.ndarray]:
     """QR_TP over a block-cyclic column distribution (Section V).
 
     Stage 1 (local, no communication): each rank runs a full sequential
@@ -127,9 +128,15 @@ def par_tournament_columns(comm: SimComm, local_block: sp.csc_matrix,
     Stage 2 (global): binary-tree reduction; at round ``t`` rank pairs
     ``(r, r + 2^t)`` play one match — the loser ships its candidate columns
     (values + global ids) to the winner.  Rank 0 broadcasts the final
-    winners.
+    winners in one message: their global ids, their columns (the
+    candidates of the final match, which rank 0 already holds) and the
+    match's ``r_diag``.
 
-    Returns ``(winner_ids, r_diag)`` replicated on all ranks.
+    Returns ``(winner_ids, winner_cols, r_diag)`` replicated on all ranks;
+    ``winner_cols`` is the canonical CSC block of the distributed matrix's
+    columns ``winner_ids``, in that order.  Under the threads backend every
+    rank receives the same object, so ranks must treat it as read-only;
+    ``REPRO_SANITIZE=1`` hands its buffers out with ``writeable=False``.
     """
     comm.kernel("col_qr_tp")
     nloc = local_block.shape[1]
@@ -185,6 +192,10 @@ def par_tournament_columns(comm: SimComm, local_block: sp.csc_matrix,
                 comm.send((cand_ids, cand_cols), partner, tag=t)
                 alive = False
         t += 1
-    winner_ids, r_diag = comm.bcast(
-        (cand_ids, r_diag) if comm.rank == 0 else None, root=0)
-    return np.asarray(winner_ids, dtype=np.intp), r_diag
+    winner_ids, winner_cols, r_diag = comm.bcast(
+        (cand_ids, cand_cols, r_diag) if comm.rank == 0 else None, root=0)
+    if sanitize.enabled():
+        for part in (winner_cols.data, winner_cols.indices,
+                     winner_cols.indptr):
+            part.flags.writeable = False
+    return np.asarray(winner_ids, dtype=np.intp), winner_cols, r_diag

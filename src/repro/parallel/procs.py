@@ -554,9 +554,14 @@ def _total(items: list) -> float:
 # child process entry
 # ---------------------------------------------------------------------------
 
+_WIRE_SCALARS = (int, float, str, bool, type(None))
+
+
 def _exc_to_wire(exc: BaseException) -> dict:
     attrs = {k: v for k, v in getattr(exc, "__dict__", {}).items()
-             if isinstance(v, (int, float, str, bool, type(None)))}
+             if isinstance(v, _WIRE_SCALARS)
+             or (isinstance(v, tuple)
+                 and all(isinstance(x, _WIRE_SCALARS) for x in v))}
     return {"type": type(exc).__name__, "message": str(exc),
             "attrs": attrs}
 

@@ -16,13 +16,14 @@ Usage::
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..core.lu_crtp import schur_multipliers
-from ..exceptions import CheckpointError
+from ..exceptions import CheckpointError, PayloadIntegrityError
 from ..kernels.threads import one_blas_thread
+from ..linalg.cholqr import cholqr2
 from ..linalg.norms import fro_norm_sq
 from ..linalg.orth import orth
+from ..pivoting.tournament import qr_tp_rows
 from ..sparse.utils import ensure_csc
 from ..sparse.window import extract_leading_columns
 from .comm import SimComm
@@ -168,15 +169,26 @@ def spmd_lu_crtp(comm: SimComm, A, *, k: int = 16, tol: float = 1e-2,
     """Algorithm 2 (Algorithm 3 when ``threshold > 0``) as a rank program.
 
     ``A^(i)`` lives in a block-cyclic column distribution; the column
-    tournament reduces locally then over the binary tree; the ``k`` selected
-    columns are shipped to rank 0 for the small sparse QR; ``Q_k`` is
-    broadcast for the row tournament; rank 0 splits ``A11``/``A21`` out of
-    the selected columns, solves ``F = A21 A11^{-1}`` and broadcasts ``A11``
-    and ``F``; every rank splits its own non-winner columns into
-    ``A12``/``A22`` in one window pass and runs the Schur update
-    column-local.  The rank-local steps are :class:`repro.core.LU_CRTP`'s
-    own: the :func:`repro.kernels.window_split` / ``permuted_blocks``
-    window kernels and :func:`repro.core.lu_crtp.schur_multipliers`.
+    tournament reduces locally then over the binary tree, and its final
+    broadcast carries the ``k`` winning columns with their ids.  Every rank
+    then runs the k-column steps itself on those same bytes: CholQR2 of the
+    winners (``Q_k``), the row tournament on row blocks of ``Q_k``, the
+    ``A11``/``A21`` split of the winners and ``F = A21 A11^{-1}``.  ``F``
+    is replicated, not row-distributed, because every rank needs all of it
+    for its column slice of the Schur update, and a row block's solve need
+    not reproduce the bits of the whole.  Every rank splits its own
+    non-winner columns into ``A12``/``A22`` in one window pass and runs the
+    Schur update column-local.  Per iteration that is the tournament's
+    point-to-point rounds and broadcast, the row tournament's allgather and
+    the indicator allreduce (plus the checkpoint gather when
+    checkpointing).  The winners reach rank 0 over the point-to-point
+    rounds, so each owner compares the broadcast copy of its own winning
+    columns with its block; the allgather carries the verdict, and on a
+    mismatch every rank raises
+    :class:`~repro.exceptions.PayloadIntegrityError` before any block is
+    updated.  The rank-local steps are :class:`repro.core.LU_CRTP`'s own:
+    the :func:`repro.kernels.window_split` / ``permuted_blocks`` window
+    kernels and :func:`repro.core.lu_crtp.schur_multipliers`.
 
     Every rank returns ``(achieved_rank, converged, rel_indicator)``;
     factors are validated through the indicator (the sequential solver is
@@ -228,50 +240,49 @@ def spmd_lu_crtp(comm: SimComm, A, *, k: int = 16, tol: float = 1e-2,
     it = 0
     while not converged and K < max_rank:
         it += 1
-        total_cols = int(comm.allreduce_sum(
-            np.array([local.shape[1]]))[0])
-        k_i = min(k, len(active_rows), total_cols, max_rank - K)
+        # max_rank <= min(m, n) also bounds the m - K active rows and the
+        # n - K active columns the local blocks partition
+        k_i = min(k, max_rank - K)
         if k_i <= 0:
             break
-        winner_ids, _ = par_tournament_columns(comm, local, local_ids, k_i,
-                                               tier=tier)
+        winner_ids, sel, _ = par_tournament_columns(comm, local, local_ids,
+                                                    k_i, tier=tier)
         won = np.isin(local_ids, winner_ids)
+        # the winners reached rank 0 over point-to-point sends; each owner
+        # checks its own against the broadcast copy, and the row
+        # tournament's allgather carries the verdict
+        altered = _altered_winners(sel, winner_ids, local, local_ids, won)
 
-        # ship winning columns to rank 0 for the sparse QR
-        payload = (local_ids[won],
-                   extract_leading_columns(local, np.flatnonzero(won)))
-        gathered = comm.gather(payload, root=0)
-        if comm.rank == 0:
-            ids = np.concatenate([g[0] for g in gathered])
-            cols = sp.hstack([g[1] for g in gathered], format="csc")
-            sel = extract_leading_columns(
-                cols, np.argsort(_rank_in(ids, winner_ids)))
-            from ..linalg.cholqr import cholqr2
-            Qk, _, _ = cholqr2(sel, tier=tier)
-            comm.kernel("sparse_qr")
-            comm.charge_flops(4.0 * sel.nnz * k_i + 8.0 * k_i ** 3)
-        else:
-            Qk = None
-        Qk = comm.bcast(Qk, root=0)
+        # every rank runs the k-column steps on the broadcast winners:
+        # the same bytes and the same kernels give the same bits everywhere
+        comm.kernel("sparse_qr")
+        Qk, _, _ = cholqr2(sel, tier=tier)
+        comm.charge_flops(4.0 * sel.nnz * k_i + 8.0 * k_i ** 3)
 
         # row tournament on Q_k^T: each rank owns a block of rows
         comm.kernel("row_qr_tp")
         rranges = block_ranges(Qk.shape[0], comm.nprocs)
         rlo, rhi = rranges[comm.rank]
-        from ..pivoting.tournament import qr_tp_rows
         if rhi - rlo >= 1:
             loc_res = qr_tp_rows(Qk[rlo:rhi], min(k_i, rhi - rlo))
             comm.charge_flops(loc_res.stats.total_flops)
             cand = rlo + loc_res.winners
         else:
             cand = np.zeros(0, dtype=np.intp)
-        all_cand = np.concatenate(comm.allgather(cand))
+        gathered = comm.allgather((cand, altered))
+        bad = tuple(r for r, g in enumerate(gathered) if g[1])
+        if bad:
+            raise PayloadIntegrityError(
+                f"iteration {it}: winning columns of rank(s) {list(bad)} "
+                f"arrived altered in the tournament's broadcast",
+                ranks=bad, iteration=it)
+        all_cand = np.concatenate([g[0] for g in gathered])
         fin = qr_tp_rows(Qk[all_cand], k_i)
         row_winners = all_cand[fin.winners]
 
         # permute rows (winners first) and split the local non-winner
         # columns at k_i in one pass; ``local`` itself stays unpermuted and
-        # ``active_rows`` tracks the order
+        # ``active_rows`` tracks the order; A11/A21 from the winners
         comm.kernel("permute_rows")
         mask = np.zeros(len(active_rows), dtype=bool)
         mask[row_winners] = True
@@ -280,26 +291,16 @@ def spmd_lu_crtp(comm: SimComm, A, *, k: int = 16, tol: float = 1e-2,
             local, np.flatnonzero(~won), new_order, k_i, tier=tier)
         comm.charge_mem(16.0 * local.nnz)
         active_rows = active_rows[new_order]
+        A11, _, A21, _ = kernels.permuted_blocks(
+            sel, np.arange(k_i), new_order, k_i, tier=tier)
 
-        # A11 from the winner columns (on rank 0, then broadcast)
-        if comm.rank == 0:
-            A11, _, A21, _ = kernels.permuted_blocks(
-                sel, np.arange(k_i), new_order, k_i, tier=tier)
-        else:
-            A11 = None
-        A11 = comm.bcast(A11, root=0)
-
-        # F = A21 A11^{-1} solved on rank 0, broadcast (k is small)
-        if comm.rank == 0:
-            comm.kernel("solve")
-            F = schur_multipliers(A11, A21, iteration=it,
-                                  drop_below=_KEEP_NONZERO)
-            f_rows = np.count_nonzero(np.diff(A21.indptr))
-            if f_rows:
-                comm.charge_flops(2.0 * k_i * k_i * f_rows)
-        else:
-            F = None
-        F = comm.bcast(F, root=0)
+        # F = A21 A11^{-1}, replicated: every rank needs all of it
+        comm.kernel("solve")
+        F = schur_multipliers(A11, A21, iteration=it,
+                              drop_below=_KEEP_NONZERO)
+        f_rows = np.count_nonzero(np.diff(A21.indptr))
+        if f_rows:
+            comm.charge_flops(2.0 * k_i * k_i * f_rows)
 
         # Schur update of the local non-winner columns
         comm.kernel("schur")
@@ -332,12 +333,31 @@ def spmd_lu_crtp(comm: SimComm, A, *, k: int = 16, tol: float = 1e-2,
                 "blocks": [g[1].tocsc() for g in gathered]
                 if comm.rank == 0 else None,
             }, checkpoint_path, checkpoint_callback)
-        if converged:
-            break
-        if len(active_rows) == 0 or total_cols - k_i == 0:
-            break
     rel = float(np.sqrt(max(ind_sq, 0.0)) / a_fro) if K else 1.0
     return K, converged, rel
+
+
+def _altered_winners(sel, winner_ids: np.ndarray, local,
+                     local_ids: np.ndarray, won: np.ndarray) -> int:
+    """1 when a winning column this rank owns (``won`` over its local
+    columns) differs in the broadcast ``sel`` from the rank's own copy,
+    else 0.
+
+    The winners' values travel to rank 0 over the tournament's
+    point-to-point sends, where a payload fault can reach them; every
+    winner has exactly one owner, so the owners' checks cover them all.
+    """
+    cols = np.flatnonzero(won)
+    if cols.size == 0:
+        return 0
+    order = np.argsort(winner_ids)
+    pos = order[np.searchsorted(winner_ids, local_ids[cols], sorter=order)]
+    mine = extract_leading_columns(local, cols)
+    theirs = extract_leading_columns(sel, pos)
+    same = (np.array_equal(mine.indptr, theirs.indptr)
+            and np.array_equal(mine.indices, theirs.indices)
+            and np.array_equal(mine.data, theirs.data, equal_nan=True))
+    return 0 if same else 1
 
 
 def spmd_randubv(comm: SimComm, A, *, k: int = 16, tol: float = 1e-2,
@@ -410,12 +430,6 @@ def spmd_randubv(comm: SimComm, A, *, k: int = 16, tol: float = 1e-2,
     for j, Lj in enumerate(Lblocks):
         B[j * k:(j + 1) * k, (j + 1) * k:(j + 2) * k] = Lj
     return Uloc, B, V[:, :B.shape[1]], K, converged
-
-
-def _rank_in(ids: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Position of each id within the reference ordering."""
-    pos = {int(v): i for i, v in enumerate(reference)}
-    return np.array([pos[int(v)] for v in ids], dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,33 @@ def no_rank_or_segment_survives():
         f"segments {leaked} outlived the test session")
 
 
+def _lu_supersteps(comm, A, **kw):
+    from repro.parallel.spmd import spmd_lu_crtp
+    spmd_lu_crtp(comm, A, checkpoint_callback=lambda state: None, **kw)
+    return comm.superstep
+
+
+@pytest.fixture(scope="session")
+def lu_crash_superstep():
+    """``pick(A, nprocs, rank, **kw)``: a superstep at which a crash of
+    ``rank`` in a checkpointing ``spmd_lu_crtp`` run lands after the
+    first checkpoint and before the run ends.
+
+    Both ends come from clean threads-backend runs (a one-iteration run
+    ends with the first checkpoint's gather), so no message count of the
+    schedule is baked into a test; both backends count supersteps alike.
+    """
+    from repro.parallel.comm import run_spmd
+
+    def pick(A, nprocs, rank, **kw):
+        first = run_spmd(nprocs, _lu_supersteps, A, max_rank=kw["k"],
+                         **kw)["results"][rank]
+        last = run_spmd(nprocs, _lu_supersteps, A, **kw)["results"][rank]
+        assert first < last
+        return (first + last + 1) // 2
+    return pick
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)

@@ -39,3 +39,23 @@ def test_gate_fails_when_backend_ledgers_disagree():
     for results in (_results(bytes_procs=1008.0), _results(msgs_procs=11)):
         bad = bench.check_regression(results)
         assert len(bad) == 1 and "P=2" in bad[0] and "ledgers" in bad[0]
+
+
+def test_gate_pins_counted_comm():
+    """A quick run's bytes and messages must equal the pin exactly, on
+    whichever side they drift."""
+    bench = _bench_module()
+    pin = {"spmd_lu_crtp": {"1": (0, 0), "2": (1000, 10),
+                            "4": (3000, 30), "8": (7000, 70)}}
+    assert bench.check_regression(_results(), pin) == []
+    for p, want in (("4", (3008, 30)), ("8", (7000, 69))):
+        moved = {"spmd_lu_crtp": dict(pin["spmd_lu_crtp"], **{p: want})}
+        bad = bench.check_regression(_results(), moved)
+        assert len(bad) == 1 and f"P={p}" in bad[0] and "pinned" in bad[0]
+
+
+def test_quick_pin_covers_every_cell():
+    bench = _bench_module()
+    assert set(bench.QUICK_COMM) == {"spmd_lu_crtp", "spmd_randqb_ei"}
+    for rows in bench.QUICK_COMM.values():
+        assert set(rows) == {str(p) for p in bench.PS}

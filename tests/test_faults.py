@@ -2,12 +2,14 @@
 
 The fault model (docs/robustness.md) promises two behaviors:
 
-- **masked** faults (clock-skew stalls, corrupted tournament candidates)
-  leave the factorization correct — ``||A - HW||_F < tau ||A||_F`` holds;
-- **unmasked** faults (rank crash, dropped message) surface as *typed*
-  exceptions naming the failing rank / route / superstep instead of
-  deadlocking, and a crashed run resumed from its last checkpoint reaches
-  the same rank and tolerance as an uninterrupted one.
+- **masked** faults (clock-skew stalls, corrupted tournament candidates
+  that lose) leave the factorization correct — ``||A - HW||_F < tau
+  ||A||_F`` holds;
+- **unmasked** faults (rank crash, dropped message, a corrupted candidate
+  that wins) surface as *typed* exceptions naming the failing rank /
+  route / superstep instead of deadlocking or a wrong answer, and a
+  crashed run resumed from its last checkpoint reaches the same rank and
+  tolerance as an uninterrupted one.
 """
 
 import time
@@ -21,6 +23,7 @@ from repro.core.recovery import RecoveryLog, RecoveryPolicy
 from repro.exceptions import (
     CheckpointError,
     CommTimeoutError,
+    PayloadIntegrityError,
     RankDeficiencyBreakdown,
     RankFailure,
 )
@@ -152,28 +155,49 @@ def test_clock_skew_is_masked_but_costs_time(A100):
 
 
 def test_corrupted_tournament_candidates_are_masked(A100):
-    # perturb the p2p candidate exchanges of the column tournament: pivot
-    # *selection* may degrade, but convergence is declared on the exact
-    # Schur-complement norm, so the answer still meets the tolerance
-    plan = FaultPlan(
-        [PayloadCorruption(src=1, dst=0, scale=1e-2, count=3)], seed=5)
-    out = run_spmd(4, spmd_lu_crtp, A100, k=8, tol=1e-2, fault_plan=plan)
-    K, conv, rel = out["results"][0]
+    # perturb the p2p candidate exchanges of the column tournament in
+    # iterations 1-3, where rank 6's candidates (the only columns on the
+    # 6 -> 4 route: rank 7 owns none of A100's) lose the round-1 match: the
+    # altered values never reach the factors, so the run is the fault-free
+    # one bit for bit
+    base = run_spmd(8, spmd_lu_crtp, A100, k=8, tol=1e-2)["results"][0]
+    inj = FaultPlan([PayloadCorruption(src=6, dst=4, tag=1, scale=1e-2,
+                                       count=3)], seed=5).build()
+    out = run_spmd(8, spmd_lu_crtp, A100, k=8, tol=1e-2, fault_plan=inj)
+    assert inj.injected == ["corrupt 6->4 tag=1"] * 3
+    assert out["results"][0] == base
+    K, conv, rel = base
     assert conv
     assert rel < 1e-2
+
+
+@pytest.mark.parametrize("backend", ["threads", "procs"])
+def test_corrupted_tournament_winner_is_caught(A100, backend):
+    # a corrupted candidate that wins would feed altered values into A11,
+    # A21 and F on every rank while the Schur update pairs them with the
+    # owners' true A12/A22; its owner sees the broadcast copy differ from
+    # its own and every rank raises before any block is updated
+    plan = FaultPlan(
+        [PayloadCorruption(src=1, dst=0, scale=1e-2, count=3)], seed=5)
+    with pytest.raises(PayloadIntegrityError) as ei:
+        run_spmd(4, spmd_lu_crtp, A100, k=8, tol=1e-2, fault_plan=plan,
+                 backend=backend)
+    assert ei.value.ranks == (1,)
+    assert ei.value.iteration == 1
 
 
 # ---------------------------------------------------------------------------
 # Checkpoint -> crash -> resume (the acceptance scenario)
 # ---------------------------------------------------------------------------
 
-def test_spmd_lu_crash_checkpoint_resume(A100, tmp_path):
+def test_spmd_lu_crash_checkpoint_resume(A100, tmp_path, lu_crash_superstep):
     base = run_spmd(4, spmd_lu_crtp, A100, k=8, tol=1e-2)
     K0, conv0, rel0 = base["results"][0]
     assert conv0
 
     ckpt = tmp_path / "lu.ckpt.npz"
-    plan = FaultPlan([RankCrash(rank=1, superstep=60)])
+    crash = lu_crash_superstep(A100, 4, 1, k=8, tol=1e-2)
+    plan = FaultPlan([RankCrash(rank=1, superstep=crash)])
     with pytest.raises(RankFailure) as ei:
         run_spmd(4, spmd_lu_crtp, A100, k=8, tol=1e-2,
                  checkpoint_path=ckpt, fault_plan=plan,

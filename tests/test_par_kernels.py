@@ -86,11 +86,11 @@ def test_par_tournament_selects_quality(rng, nprocs):
             comm, blocks[comm.rank].tocsc(), ids[comm.rank], k)
 
     out = run_spmd(nprocs, prog)
-    winners, r_diag = out["results"][0]
+    winners, _, r_diag = out["results"][0]
     assert winners.size == k
     assert r_diag.size >= 1
     # replicated result
-    for w, _ in out["results"]:
+    for w, _, _ in out["results"]:
         np.testing.assert_array_equal(w, winners)
     # quality: winners span the dominant subspace within an RRQR factor
     D = A.toarray()
@@ -112,7 +112,7 @@ def test_par_tournament_matches_sequential_single_rank(rng):
             comm, blocks[comm.rank].tocsc(), ids[comm.rank], k)
 
     out = run_spmd(1, prog)
-    winners, _ = out["results"][0]
+    winners, _, _ = out["results"][0]
     seq = qr_tp(A, k, leaf_cols=2 * k)
     np.testing.assert_array_equal(np.sort(winners), np.sort(seq.winners))
 
@@ -128,5 +128,30 @@ def test_par_tournament_empty_rank(rng):
             comm, blocks[comm.rank].tocsc(), ids[comm.rank], k)
 
     out = run_spmd(4, prog)
-    winners, _ = out["results"][0]
+    winners, _, _ = out["results"][0]
     assert winners.size == k
+
+
+@pytest.mark.parametrize("nprocs", [1, 2, 3, 4])
+def test_par_tournament_returns_the_winning_columns(nprocs):
+    """The final broadcast carries ``A[:, winner_ids]`` to every rank, a
+    rank that owns no columns included (three column blocks at P=4)."""
+    from repro.matrices.generators import random_graded
+    A = random_graded(30, 24, nnz_per_row=5, decay_rate=6.0, seed=11).tocsc()
+    k = 4
+
+    def prog(comm):
+        blocks, ids = partition_cols_csc(A, comm.nprocs, block=2 * k)
+        return (blocks[comm.rank].shape[1],) + par_tournament_columns(
+            comm, blocks[comm.rank].tocsc(), ids[comm.rank], k)
+
+    out = run_spmd(nprocs, prog)
+    if nprocs == 4:
+        assert out["results"][3][0] == 0
+    for _, winners, cols, _ in out["results"]:
+        ref = A[:, winners]
+        assert winners.size == k
+        assert cols.format == "csc" and cols.shape == ref.shape
+        for part in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(cols, part),
+                                          getattr(ref, part))

@@ -60,9 +60,11 @@ def test_respawn_resumes_bitwise_identical_randqb(A120, tmp_path):
     assert shm_segments() == []
 
 
-def test_respawn_resumes_bitwise_identical_lu(A120, tmp_path):
+def test_respawn_resumes_bitwise_identical_lu(A120, tmp_path,
+                                              lu_crash_superstep):
     clean = run_spmd(4, spmd_lu_crtp, A120, k=8, tol=1e-2, backend="procs")
-    plan = FaultPlan([RankCrash(rank=1, superstep=60)], seed=0)
+    crash = lu_crash_superstep(A120, 4, 1, k=8, tol=1e-2)
+    plan = FaultPlan([RankCrash(rank=1, superstep=crash)], seed=0)
     out = run_spmd(4, spmd_lu_crtp, A120, k=8, tol=1e-2, backend="procs",
                    fault_plan=plan,
                    checkpoint_path=str(tmp_path / "lu.ckpt.npz"),

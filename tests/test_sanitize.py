@@ -238,3 +238,36 @@ def test_rank_windows_readonly_on_both_backends(san, backend):
     A = sp.random(24, 12, density=0.4, format="csr", random_state=1)
     out = run_spmd(2, _window_probe, A, backend=backend)
     assert out["results"] == ["readonly", "readonly"]
+
+
+def _winner_columns_probe(comm, A):
+    from repro.parallel.distribution import own_col_block
+    from repro.parallel.kernels import par_tournament_columns
+    local, ids = own_col_block(A, comm.nprocs, comm.rank, block=8)
+    _, cols, _ = par_tournament_columns(comm, local.tocsc(), ids, 4)
+    try:
+        cols.data[0] = -1.0
+        return "wrote"
+    except ValueError:
+        return "readonly"
+
+
+@pytest.mark.parametrize("backend", ["threads", "procs"])
+def test_broadcast_winner_columns_readonly(san, backend, A96):
+    """Under the threads backend every rank holds rank 0's winner columns,
+    so a rank that wrote to them would change its peers' inputs."""
+    out = run_spmd(2, _winner_columns_probe, A96, backend=backend)
+    assert out["results"] == ["readonly", "readonly"]
+
+
+@pytest.mark.parametrize("backend", ["threads", "procs"])
+def test_spmd_lu_bitwise_identical_with_sanitizers(monkeypatch, A96,
+                                                   backend):
+    from repro.parallel.spmd import spmd_lu_crtp
+    monkeypatch.delenv(sanitize.ENV_VAR, raising=False)
+    off = run_spmd(4, spmd_lu_crtp, A96, k=4, tol=1e-2, backend=backend)
+    monkeypatch.setenv(sanitize.ENV_VAR, "1")
+    on = run_spmd(4, spmd_lu_crtp, A96, k=4, tol=1e-2, backend=backend)
+    assert _bitwise_equal(on["results"], off["results"])
+    assert on["comm"] == off["comm"]
+    assert on["results"][0][0] > 0

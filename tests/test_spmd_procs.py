@@ -156,12 +156,14 @@ def test_comm_report_renders(A120):
 # Checkpoints across backends
 # ---------------------------------------------------------------------------
 
-def test_checkpoint_procs_write_threads_resume(A120, tmp_path):
+def test_checkpoint_procs_write_threads_resume(A120, tmp_path,
+                                               lu_crash_superstep):
     base = run_spmd(4, spmd_lu_crtp, A120, k=8, tol=1e-2)
     K0, conv0, rel0 = base["results"][0]
 
     ckpt = tmp_path / "lu_procs.ckpt.npz"
-    plan = FaultPlan([RankCrash(rank=1, superstep=60)])
+    crash = lu_crash_superstep(A120, 4, 1, k=8, tol=1e-2)
+    plan = FaultPlan([RankCrash(rank=1, superstep=crash)])
     with pytest.raises(RankFailure) as ei:
         run_spmd(4, spmd_lu_crtp, A120, k=8, tol=1e-2, backend="procs",
                  checkpoint_path=str(ckpt), fault_plan=plan,
