@@ -35,6 +35,19 @@ root (the committed copy documents the speedups on the reference machine):
                           on both columns, native = native tier, timed
                           alternately, with identical ``perm`` and
                           ``r11_diag`` bits asserted;
+- ``qr_tp_rows``        — a whole row tournament (``qr_tp_rows`` on the
+                          ``Q_k`` of the first k=16 LU_CRTP iteration on
+                          M6 at scale 0.8); each tree level pivots its
+                          stacked ``Q_k[ids]`` blocks with one
+                          ``kernels.qrcp_batch`` dispatch; pure on both
+                          columns, native = native tier, identical
+                          pivots, ``r11_diag`` bits and match records
+                          asserted;
+- ``qrcp_batch``        — one ``kernels.qrcp_batch`` dispatch on the 75
+                          32x32 Gram factors of that matrix's leaf level:
+                          a f2py ``dgeqp3`` call per block (pure, both
+                          columns) vs one C loop over the stack (native),
+                          identical pivots and ``|diag R|`` bits asserted;
 - ``schur_filled`` / ``schur_sparse`` — ``kernels.schur_update_csc`` on a
                           filled-in product (flop-bound ratio ~0.8:
                           native = dense-panel route) and on an unfilled
@@ -111,9 +124,10 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro import kernels  # noqa: E402
 from repro.core.ilut_crtp import ILUT_CRTP  # noqa: E402
 from repro.core.lu_crtp import LU_CRTP  # noqa: E402
+from repro.linalg.cholqr import cholqr2  # noqa: E402
 from repro.linalg.tsqr import tsqr  # noqa: E402
 from repro.matrices import suite_matrix  # noqa: E402
-from repro.pivoting import qr_tp  # noqa: E402
+from repro.pivoting import qr_tp, qr_tp_rows  # noqa: E402
 from repro.sparse.ops import csr_matmul_nosym, permute, split_2x2  # noqa: E402
 from repro.sparse.spgemm import SpGEMMWorkspace  # noqa: E402
 from repro.sparse.thresholding import (apply_threshold_mask,  # noqa: E402
@@ -468,6 +482,79 @@ def bench_qr_tp(quick: bool, repeats: int, native: bool,
     return entry
 
 
+def _service_m6(k: int):
+    """The largest ``service_mix`` matrix (M6 at scale 0.8) and the
+    ``Q_k`` of its first LU_CRTP iteration: CholQR2 of the column
+    tournament's ``k`` winners (mostly zero rows, as in a solve)."""
+    A = suite_matrix("M6", scale=0.8).tocsc()
+    A.sort_indices()
+    Q, _, _ = cholqr2(A[:, qr_tp(A, k).winners])
+    return A, Q
+
+
+def bench_qr_tp_rows(quick: bool, repeats: int, native: bool) -> dict:
+    """A whole row tournament: QR_TP on ``Q_k^T`` (k=16) of the service
+    matrix, where every tree level gathers its ``Q_k[ids]`` blocks and
+    pivots them with one ``kernels.qrcp_batch`` dispatch."""
+    del quick  # one size: the service's k=16 on its largest matrix
+    _, Q = _service_m6(16)
+
+    def tp(tier):
+        return qr_tp_rows(Q, 16, tier=tier)
+
+    if native:
+        t_pure, t_native = _mintime_pair(lambda: tp("pure"),
+                                         lambda: tp("native"), repeats)
+    else:
+        t_pure = _mintime(lambda: tp("pure"), repeats)
+    entry = {"before_s": t_pure, "after_s": t_pure,
+             "detail": f"qr_tp_rows on Q_k {Q.shape} of M6 scale 0.8 "
+                       "(first LU_CRTP iteration, k=16); pure tier on both "
+                       "columns, native = one C dgeqp3 loop per tree level, "
+                       "same pivots"}
+    if native:
+        ref, got = tp("pure"), tp("native")
+        assert np.array_equal(ref.perm, got.perm), "row tiers disagree"
+        assert ref.r11_diag.tobytes() == got.r11_diag.tobytes(), \
+            "row r11 bits disagree"
+        assert ref.stats.matches == got.stats.matches, \
+            "row match records disagree"
+        _add_native_tier(entry, t_native)
+    return entry
+
+
+def bench_qrcp_batch(quick: bool, repeats: int, native: bool) -> dict:
+    """One ``kernels.qrcp_batch`` dispatch on a leaf level's worth of
+    Gram factors: 75 upper triangular 32x32 ``R = L^T`` from the leaf
+    Grams of the service matrix (k=16, 2k-column leaves)."""
+    del quick
+    A, _ = _service_m6(16)
+    leaves = [np.arange(s, s + 32) for s in range(0, 75 * 32, 32)]
+    L = np.linalg.cholesky(np.stack(kernels.gram_csc(A, leaves, leaves,
+                                                     tier="pure")))
+    blocks = L.transpose(0, 2, 1)
+
+    def qrcp(tier):
+        return kernels.qrcp_batch(blocks, tier=tier)
+
+    if native:
+        t_pure, t_native = _mintime_pair(lambda: qrcp("pure"),
+                                         lambda: qrcp("native"), repeats)
+    else:
+        t_pure = _mintime(lambda: qrcp("pure"), repeats)
+    entry = {"before_s": t_pure, "after_s": t_pure,
+             "detail": "qrcp_batch of 75 32x32 Gram factors (M6 scale 0.8 "
+                       "leaves); pure = one f2py dgeqp3 call per block on "
+                       "both columns, native = one C loop over the stack"}
+    if native:
+        (p_ref, d_ref), (p_got, d_got) = qrcp("pure"), qrcp("native")
+        assert np.array_equal(p_ref, p_got), "qrcp_batch pivots disagree"
+        assert d_ref.tobytes() == d_got.tobytes(), \
+            "qrcp_batch |diag R| bits disagree"
+        _add_native_tier(entry, t_native)
+    return entry
+
+
 def bench_schur_filled(quick: bool, repeats: int, native: bool,
                        filled: bool) -> dict:
     """``schur_update_csc`` on either side of the dense-panel crossover:
@@ -701,6 +788,8 @@ def run(quick: bool) -> dict:
                                      filled=False),
         "qr_tp_filled": bench_qr_tp(quick, max(repeats, 5), native,
                                     filled=True),
+        "qr_tp_rows": bench_qr_tp_rows(quick, max(repeats, 5), native),
+        "qrcp_batch": bench_qrcp_batch(quick, max(repeats, 9), native),
         "schur_filled": bench_schur_filled(quick, max(repeats, 9), native,
                                            filled=True),
         "schur_sparse": bench_schur_filled(quick, max(repeats, 9), native,

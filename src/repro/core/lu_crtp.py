@@ -419,6 +419,7 @@ class LU_CRTP:
             "schur_nnz": int(schur.nnz),
             "schur_flops": schur_flops,
             "tournament_flops": float(col_tp.stats.total_flops),
+            "tournament_fallbacks": int(col_tp.stats.fallbacks),
         }
         return IterationArtifacts(
             Lk=Lk, Uk=Uk, schur=schur,

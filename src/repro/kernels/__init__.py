@@ -25,6 +25,7 @@ from .tiers import (
     native_available,
     permuted_blocks,
     pivot_argmin_consume,
+    qrcp_batch,
     record_tier,
     reset,
     resolve_tier,
@@ -59,4 +60,5 @@ __all__ = [
     "gram_csc",
     "schur_update_csc",
     "colamd_postorder",
+    "qrcp_batch",
 ]

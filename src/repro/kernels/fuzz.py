@@ -27,7 +27,8 @@ results, with adversarial input families the hand-picked pins under-run:
   while the sparser families keep them below the crossovers;
   ``gram_csc`` cases are batches of column-id pairs (empty lists, single
   and repeated ids, self-Grams) whose routes can differ within one
-  call.
+  call; ``qrcp_batch`` cases are stacks of dense blocks carrying each
+  family's zero pattern and values, in row- and column-major layout.
 
 Failures are **minimized** (greedy shrink over the generating
 parameters, re-checked after every step) and saved as ``.npz``
@@ -62,7 +63,7 @@ PATTERNS = ("uniform", "empty_rows", "dense_row", "cancel", "negzero",
 KERNELS = ("spgemm_csr", "threshold_mask", "apply_threshold_mask",
            "permuted_blocks", "colamd_postorder", "csr_to_csc",
            "csc_to_csr", "gather_columns", "gram_csc", "schur_update_csc",
-           "window_split")
+           "window_split", "qrcp_batch")
 
 
 @dataclass(frozen=True)
@@ -254,6 +255,15 @@ def generate(spec: CaseSpec) -> dict:
                 "F": _sparse(spec, rng, spec.m, spec.k, "csr"),
                 "A12": _sparse(spec, rng, spec.k, spec.n, "csr"),
                 "tol": (None, 0.0, 1e-3)[variant]}
+    if k == "qrcp_batch":
+        # a stack of dense blocks with the family's zero pattern and
+        # values; variant 1 stores every block column-major (the layout
+        # the native tier reads in place)
+        nb = spec.k % 6
+        blocks = np.zeros((nb, spec.m, spec.n))
+        for b in range(nb):
+            blocks[b] = _sparse(spec, rng, spec.m, spec.n, "csc").toarray()
+        return {"blocks": blocks, "column_major": variant == 1}
     raise ValueError(f"unknown kernel {k!r}")
 
 
@@ -336,6 +346,12 @@ def run_kernel(inputs: dict, kernel: str, tier: str):
     if kernel == "schur_update_csc":
         return tiers.schur_update_csc(i["A22"], i["F"], i["A12"],
                                       tol=i["tol"], tier=tier)
+    if kernel == "qrcp_batch":
+        blocks = i["blocks"]
+        if i["column_major"]:
+            blocks = np.ascontiguousarray(
+                blocks.transpose(0, 2, 1)).transpose(0, 2, 1)
+        return tiers.qrcp_batch(blocks, tier=tier)
     raise ValueError(f"unknown kernel {kernel!r}")
 
 

@@ -32,6 +32,9 @@ counterpart (see the parity pins in ``tests/test_kernel_tiers.py``):
   with the same bits once the product fills in)
 - :func:`colamd_postorder` ≡ ``repro.kernels.pure.colamd_postorder``
   (COLAMD, column etree and postorder in one call, same permutation)
+- :func:`qrcp_batch`       ≡ ``repro.kernels.pure.qrcp_batch`` (the same
+  LAPACK ``dgeqp3``, reached through ``scipy.linalg.cython_lapack``,
+  once per block of a stack in one C call)
 """
 
 from __future__ import annotations
@@ -54,8 +57,25 @@ _lib: ctypes.CDLL | None = None
 _load_attempted = False
 
 
+class _ArrayArg:
+    """ctypes argtype of a C-contiguous ndarray of one dtype, passed as
+    its data address: the check ``np.ctypeslib.ndpointer(dtype,
+    flags="C_CONTIGUOUS")`` makes, at about half its per-call cost (a
+    tree level's Gram and QRCP calls pass up to ten arrays each)."""
+
+    def __init__(self, dtype):
+        self.dtype = np.dtype(dtype)
+
+    def from_param(self, obj):
+        if not (isinstance(obj, np.ndarray) and obj.dtype == self.dtype
+                and obj.flags.c_contiguous):
+            raise TypeError(f"expected a C-contiguous {self.dtype} ndarray, "
+                            f"got {type(obj).__name__}")
+        return ctypes.c_void_p(obj.ctypes.data)
+
+
 def _ptr(dtype):
-    return np.ctypeslib.ndpointer(dtype=dtype, flags=("C_CONTIGUOUS",))
+    return _ArrayArg(dtype)
 
 
 #: Declarative ctypes contract for every exported symbol — the Python
@@ -68,10 +88,10 @@ def _ptr(dtype):
 #: token or ``None`` for ``void``.  Tokens: ``"i64"``/``"f64"`` scalars
 #: (``int64_t``/``double``); ``"i32*"``/``"i64*"``/``"f64*"``/``"u8*"``
 #: contiguous-ndarray pointers; ``"&f64"`` a ``ctypes.POINTER(c_double)``
-#: scalar out-param; ``"IDX*"`` the index dtype of the kernel's two
-#: instantiations (``name_i32``/``name_i64``).  Entries whose argtypes
-#: mention ``IDX`` bind both suffixed symbols; the rest bind ``name``
-#: as-is.
+#: scalar out-param; ``"void*"`` an address (``c_void_p``); ``"IDX*"``
+#: the index dtype of the kernel's two instantiations
+#: (``name_i32``/``name_i64``).  Entries whose argtypes mention ``IDX``
+#: bind both suffixed symbols; the rest bind ``name`` as-is.
 _ABI: dict[str, tuple[str | None, tuple[str, ...]]] = {
     "rk_openmp_enabled": ("i64", ()),
     "rk_thresh_mask": ("i64", ("f64*", "i64", "f64", "u8*", "f64*", "&f64")),
@@ -120,6 +140,8 @@ _ABI: dict[str, tuple[str | None, tuple[str, ...]]] = {
                                    "IDX*", "IDX*", "f64*")),
     "rk_colamd_postorder": ("i64", ("i64", "i64", "i64", "IDX*", "IDX*",
                                     "i64*", "i64", "i64*")),
+    "rk_qrcp_batch": ("i64", ("void*", "i64", "i64", "i64", "f64*", "i64",
+                              "f64*", "i32*", "i64*", "f64*")),
 }
 
 _SCALAR_CTYPES = {"i64": ctypes.c_int64, "f64": ctypes.c_double}
@@ -132,6 +154,8 @@ def _ctype(token: str, idx_dtype):
     ``IDX`` for the current instantiation)."""
     if token == "IDX*":
         return _ptr(idx_dtype)
+    if token == "void*":
+        return ctypes.c_void_p
     if token.startswith("&"):
         return ctypes.POINTER(_SCALAR_CTYPES[token[1:]])
     if token.endswith("*"):
@@ -842,3 +866,54 @@ def colamd_postorder(A):
     if status != 0:
         raise RuntimeError(f"rk_colamd_postorder failed with status {status}")
     return perm.astype(np.intp, copy=False)
+
+
+# ---------------------------------------------------------------------------
+# batched QR with column pivoting (LAPACK dgeqp3 per block)
+# ---------------------------------------------------------------------------
+
+_geqp3_address: int | None = None
+
+
+def _geqp3() -> int:
+    """Address of the ``dgeqp3`` that ``scipy.linalg.cython_lapack``
+    exports: the LAPACK routine behind scipy's f2py ``dgeqp3``."""
+    global _geqp3_address
+    if _geqp3_address is None:
+        from scipy.linalg import cython_lapack
+        capsule = cython_lapack.__pyx_capi__["dgeqp3"]
+        api = ctypes.pythonapi
+        name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+            ("PyCapsule_GetName", api))(capsule)
+        _geqp3_address = ctypes.PYFUNCTYPE(
+            ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+            ("PyCapsule_GetPointer", api))(capsule, name)
+    return _geqp3_address
+
+
+def qrcp_batch(blocks, lwork: int, workspace=None):
+    """QR with column pivoting of every ``m x n`` block of a ``(p, m, n)``
+    stack in one C call (pure contract:
+    :func:`repro.kernels.pure.qrcp_batch`).  Each block is copied into
+    scratch column-major, with a zeroed ``jpvt`` and the caller's
+    ``lwork``, as scipy's f2py wrapper hands it to LAPACK; a stack whose
+    blocks already store column-major (``blocks.transpose(0, 2, 1)``
+    C-contiguous) is read in place."""
+    lib = load()
+    nb, m, n = blocks.shape
+    if lib is None or max(m, n, lwork) > _INT32_MAX:
+        from ..pure import qrcp_batch as _pure_qrcp
+        return _pure_qrcp(blocks, lwork)
+    cols = np.ascontiguousarray(blocks.transpose(0, 2, 1), dtype=np.float64)
+    p = min(m, n)
+    if workspace is None:
+        from ...sparse.spgemm import SpGEMMWorkspace
+        workspace = SpGEMMWorkspace()
+    ws, jpvt = workspace.qrcp_buffers(m * n + p + lwork, n)
+    piv = np.empty((nb, n), dtype=np.int64)
+    rdiag = np.empty((nb, p), dtype=np.float64)
+    info = int(lib.rk_qrcp_batch(_geqp3(), nb, m, n, cols, lwork, ws, jpvt,
+                                 piv, rdiag))
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgeqp3")
+    return piv, rdiag

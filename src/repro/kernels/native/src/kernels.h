@@ -70,8 +70,9 @@ void __tsan_release(void *addr);
  * `repro.lint` (rules KERN001–KERN003) parses it and cross-checks it
  * against the Python `_ABI` table.  Keep it machine-readable: one
  * symbol per `RK_EXPORT` prototype, fixed-width integer types only
- * (int32_t/int64_t/unsigned char — never int/long/size_t), and no
- * `restrict` qualifiers (those live on the definitions).
+ * (int32_t/int64_t/unsigned char — never int/long/size_t), `void *` only
+ * for a foreign function's address, and no `restrict` qualifiers (those
+ * live on the definitions).
  * ------------------------------------------------------------------ */
 
 /* Capability probe: 1 when the library was built with OpenMP, else 0. */
@@ -227,6 +228,15 @@ RK_EXPORT void rk_schur_dense_emit_i32(
 RK_EXPORT void rk_schur_dense_emit_i64(
     int64_t m, int64_t n, const double *R,
     const int64_t *Sp, int64_t *Si, double *Sx);
+
+/* QR with column pivoting of a stack of column-major m x n blocks, one
+ * call of the LAPACK dgeqp3 whose address `geqp3` holds per block
+ * (scipy.linalg.cython_lapack's export); 0-based pivots and |diag R|
+ * out; returns 0 or the first nonzero LAPACK info (qrcp.c). */
+RK_EXPORT int64_t rk_qrcp_batch(
+    void *geqp3, int64_t nb, int64_t m, int64_t n, const double *blocks,
+    int64_t lwork, double *ws, int32_t *jpvt, int64_t *piv,
+    double *rdiag);
 
 /* COLAMD ordering + postorder of the column elimination tree of a CSC
  * pattern in one call; returns 0, -1 for a pattern outside the contract

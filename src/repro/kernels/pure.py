@@ -9,6 +9,7 @@ bitwise oracle the native tier is pinned against.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import lapack as _lapack
 
 from ..sparse import thresholding as _thresholding
 from ..sparse import window as _window
@@ -77,6 +78,23 @@ def gram_csc(A, left, right, workspace=None):
         B2 = B1 if ro is lo else gather_columns(A, _window._column_ids(ro, n))
         out.append(_cross_gram_kernel(B1, B2))
     return out
+
+
+def qrcp_batch(blocks, lwork: int):
+    """QR with column pivoting of every ``m x n`` block of a ``(p, m, n)``
+    stack: one call of scipy's f2py ``dgeqp3`` per block, as
+    :func:`repro.linalg.qrcp.qrcp` makes it.  Returns 0-based pivots
+    ``(p, n)`` and ``|diag R|`` ``(p, min(m, n))``."""
+    nb, m, n = blocks.shape
+    piv = np.empty((nb, n), dtype=np.int64)
+    rdiag = np.empty((nb, min(m, n)))
+    for b, block in enumerate(blocks):
+        qr, jpvt, _, _, info = _lapack.dgeqp3(block, lwork=lwork)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dgeqp3")
+        piv[b] = jpvt - 1
+        rdiag[b] = np.abs(np.diagonal(qr))
+    return piv, rdiag
 
 
 def schur_update_csc(A22, F, A12, tol: float | None = None,

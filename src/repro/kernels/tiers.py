@@ -3,8 +3,9 @@
 Two tiers serve the sparse hot-path kernels (row-merge SpGEMM — serial
 and OpenMP row-parallel — fused ILUT thresholding, the Schur index-window
 scatter/gather, CSR<->CSC conversion, the column gather, the batched
-by-column-id Gram, the fused Schur difference, and the COLAMD +
-column-etree postorder ordering):
+by-column-id Gram, the fused Schur difference, the COLAMD +
+column-etree postorder ordering, and the batched QRCP of a tournament
+level):
 
 - ``pure``   — the existing NumPy/SciPy routes; always available and the
   default, so ``PYTHONPATH=src pytest`` never gains a build step.
@@ -34,7 +35,10 @@ import threading
 import time
 import warnings
 
+import numpy as np
+
 from .. import perf
+from ..linalg.qrcp import _geqp3_lwork
 from . import native
 from . import pure
 from .threads import blas_threads, kernel_threads
@@ -201,7 +205,6 @@ def apply_threshold_mask(A, mask, *, tier: str | None = None):
 def _rowcount(m: int):
     """The thread-local row-count scratch of the native window kernels,
     grown to at least ``m`` slots."""
-    import numpy as np
     state = _thread_state()
     rowcount = state.get("rowcount")
     if rowcount is None or rowcount.size < m:
@@ -319,3 +322,26 @@ def schur_update_csc(A22, F, A12, *, tol: float | None = None,
                                     workspace=_thread_workspace(workspace),
                                     threads=kernel_threads())
     return mod.schur_update_csc(A22, F, A12, tol=tol)
+
+
+def qrcp_batch(blocks, *, tier: str | None = None, workspace=None):
+    """QR with column pivoting of every ``m x n`` block of a float64
+    ``(p, m, n)`` stack: 0-based pivot orders ``(p, n)`` (int64) and
+    ``|diag R|`` ``(p, min(m, n))``, per block the values
+    :func:`repro.linalg.qrcp.qrcp` gives (LAPACK ``dgeqp3`` with scipy's
+    workspace size), bit for bit across tiers.  The native tier runs
+    the whole stack in one C call on the thread's workspace and reads
+    column-major blocks (``blocks.transpose(0, 2, 1)`` C-contiguous: a
+    stack of Gram factors ``L.transpose(0, 2, 1)``, or of gathered rows
+    ``Q[ids].transpose(0, 2, 1)``) in place.  QR_TP pivots every clean
+    match of a tree level with one call."""
+    mod, t = _impl(tier)
+    nb, m, n = blocks.shape
+    if nb == 0 or min(m, n) == 0:
+        return (np.tile(np.arange(n, dtype=np.int64), (nb, 1)),
+                np.zeros((nb, min(m, n))))
+    lwork = _geqp3_lwork(m, n)
+    if t == "native":
+        return mod.qrcp_batch(blocks, lwork,
+                              workspace=_thread_workspace(workspace))
+    return mod.qrcp_batch(blocks, lwork)

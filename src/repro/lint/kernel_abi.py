@@ -50,12 +50,13 @@ _C_CANON: dict[str, tuple[str, int, bool]] = {
 }
 
 #: ``_ABI`` token vocabulary, canonicalized the same way (pointer-ness
-#: is carried separately).
+#: is carried separately).  ``void*`` is an address (``c_void_p``).
 _PY_CANON: dict[str, tuple[str, int, bool]] = {
     "i32": ("int", 32, True),
     "i64": ("int", 64, True),
     "f64": ("float", 64, True),
     "u8": ("int", 8, False),
+    "void": ("void", 0, True),
 }
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"

@@ -264,7 +264,8 @@ def spmd_lu_crtp(comm: SimComm, A, *, k: int = 16, tol: float = 1e-2,
         rranges = block_ranges(Qk.shape[0], comm.nprocs)
         rlo, rhi = rranges[comm.rank]
         if rhi - rlo >= 1:
-            loc_res = qr_tp_rows(Qk[rlo:rhi], min(k_i, rhi - rlo))
+            loc_res = qr_tp_rows(Qk[rlo:rhi], min(k_i, rhi - rlo),
+                                 tier=tier)
             comm.charge_flops(loc_res.stats.total_flops)
             cand = rlo + loc_res.winners
         else:
@@ -277,7 +278,7 @@ def spmd_lu_crtp(comm: SimComm, A, *, k: int = 16, tol: float = 1e-2,
                 f"arrived altered in the tournament's broadcast",
                 ranks=bad, iteration=it)
         all_cand = np.concatenate([g[0] for g in gathered])
-        fin = qr_tp_rows(Qk[all_cand], k_i)
+        fin = qr_tp_rows(Qk[all_cand], k_i, tier=tier)
         row_winners = all_cand[fin.winners]
 
         # permute rows (winners first) and split the local non-winner

@@ -10,17 +10,22 @@ keep the ``k`` winning columns.  Two execution strategies:
     on ``R``.  Pivot choices on ``R`` coincide with pivot choices on ``B``
     because QRCP decisions depend only on column norms of orthogonal
     projections, which ``R`` preserves.  This is what keeps QR_TP at the
-    paper's ``O(k^2 nnz)`` complexity (Section IV).  The tournament
-    computes every match Gram of a tree level in one kernel dispatch and
-    passes it in with the candidates' column ids, so a match reads its
-    block only if the Cholesky factorization breaks down; a caller
-    without a Gram (a global SPMD round) gets one self-Gram dispatch.
+    paper's ``O(k^2 nnz)`` complexity (Section IV).  ``R`` is the
+    transposed Cholesky factor of the Gram; a Gram that does not factor
+    (a rank-deficient block) sends the match to the dense route at once.
+    A caller without a Gram (a global SPMD round) gets one self-Gram
+    dispatch.
 
 ``dense``
     Densify ``B`` and run QRCP directly — the numerically safest route, used
-    automatically as a fallback when the Gram factorization reports rank
-    deficiency, and the best choice when ``B`` is already dense (row
-    tournaments on ``Q_k^T``).
+    automatically as a fallback when the Gram factorization breaks down,
+    and the best choice when ``B`` is already dense (row tournaments on
+    ``Q_k^T``).
+
+This function is the one-match form of the primitive.  The tournament
+(:mod:`repro.pivoting.tournament`) plays the clean matches of a tree
+level as stacks with the same factorizations and calls it only for
+strong-RRQR matches and for matches whose Gram does not factor.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .. import kernels
-from ..linalg.cholqr import gram_r_factor
+from ..linalg.cholqr import _gram
 from ..linalg.qrcp import qrcp, strong_rrqr
 from ..sparse.ops import extract_columns
 from ..sparse.utils import ensure_csc, nnz_of
@@ -136,12 +141,14 @@ def select_columns(B, k: int, *, method: str = "gram", strong: bool = False,
     use_dense = method == "dense" or not sp.issparse(B)
     fallback = False
     if not use_dense:
-        if gram is None and cols is not None:
-            gram, = kernels.gram_csc(B, [cols], [cols], tier=tier)
-        R, clean = gram_r_factor(B, gram=gram, tier=tier)
-        if clean:
-            small, flops = R, selection_flops(nnz, c, method="gram")
-        else:
+        if gram is None:
+            gram = (kernels.gram_csc(B, [cols], [cols], tier=tier)[0]
+                    if cols is not None else _gram(B, tier=tier))
+        try:
+            # R = L^T; a Gram that does not factor pivots the dense block
+            small = np.linalg.cholesky(gram).T
+            flops = selection_flops(nnz, c, method="gram")
+        except np.linalg.LinAlgError:
             use_dense = True
             fallback = True
     if use_dense:

@@ -7,7 +7,7 @@ scipy's C implementation on the pure tier, the row-merge C kernel on the
 native tier.  This module holds what both sides share:
 
 - :class:`SpGEMMWorkspace` — scratch buffers of the native tier's
-  row-merge SpGEMM, gram, dense-panel and parallel kernels, grown
+  row-merge SpGEMM, gram, dense-panel, parallel and QRCP kernels, grown
   geometrically and reused across block iterations so the
   fixed-precision loop allocates only on its highest-watermark
   iteration;
@@ -55,6 +55,11 @@ class SpGEMMWorkspace:
         # zero-filled operand panel of the dense routes (panel_buffer)
         self._panel_n = 0
         self._panel: np.ndarray | None = None
+        # block copy, tau, work and jpvt of the batched QRCP (qrcp_buffers)
+        self._qr_n = 0
+        self._qr_ws: np.ndarray | None = None
+        self._qr_cols = 0
+        self._qr_jpvt: np.ndarray | None = None
 
     @staticmethod
     def _grow_cap(current: int, needed: int) -> int:
@@ -125,6 +130,21 @@ class SpGEMMWorkspace:
             self._panel = np.empty(self._panel_n, dtype=np.float64)
             self.grown += 1
         return self._panel
+
+    def qrcp_buffers(self, size: int, n: int):
+        """Scratch of the native batched QRCP
+        (:func:`repro.kernels.native.qrcp_batch`): ``(ws, jpvt)``, float64
+        ``ws`` ≥ ``size`` slots (block copy, tau and LAPACK work) and int32
+        ``jpvt`` ≥ ``n``; no entry invariant."""
+        if self._qr_ws is None or self._qr_n < size:
+            self._qr_n = self._grow_cap(self._qr_n, size)
+            self._qr_ws = np.empty(self._qr_n, dtype=np.float64)
+            self.grown += 1
+        if self._qr_jpvt is None or self._qr_cols < n:
+            self._qr_cols = self._grow_cap(self._qr_cols, n)
+            self._qr_jpvt = np.empty(self._qr_cols, dtype=np.int32)
+            self.grown += 1
+        return self._qr_ws, self._qr_jpvt
 
 
 def spgemm_flops(A, B) -> float:

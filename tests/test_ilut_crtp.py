@@ -153,3 +153,30 @@ def test_dropped_norm_bound_dominates_control_quantity(filly):
     assert res.dropped_norm_bound() >= res.dropped_norm - 1e-12
     plain = ilut_crtp(filly, k=8, tol=1e-2, mu=0.0)
     assert plain.dropped_norm_bound() == 0.0
+
+
+def test_trace_counts_tournament_fallbacks(monkeypatch):
+    # thresholding empties Schur columns; a match holding one cannot
+    # factor its Gram and pivots the dense block.  The per-iteration
+    # trace counts those matches next to the tournament's flops.
+    import importlib
+
+    from repro.matrices import suite_matrix
+    tournament = importlib.import_module("repro.pivoting.tournament")
+    seen = []
+    select = tournament.select_columns
+
+    def counted(*args, **kwargs):
+        sel = select(*args, **kwargs)
+        seen.append(sel.used_fallback)
+        return sel
+
+    monkeypatch.setattr(tournament, "select_columns", counted)
+    A = suite_matrix("M2", scale=0.3)
+    ilut = ILUT_CRTP(k=16, tol=2e-2).solve(A)
+    per_iteration = [r.extra["trace"]["tournament_fallbacks"]
+                     for r in ilut.history]
+    assert sum(per_iteration) == sum(seen) > 0
+    lu = LU_CRTP(k=16, tol=2e-2).solve(A)
+    assert [r.extra["trace"]["tournament_fallbacks"]
+            for r in lu.history] == [0] * len(lu.history)

@@ -723,6 +723,79 @@ def test_gram_parity(seed):
     assert np.array_equal(refs.view(np.uint64), gots.view(np.uint64))
 
 
+def _qrcp_ref(blocks):
+    """Per-block ``qrcp`` (the tournament's match-by-match route)."""
+    from repro.linalg.qrcp import qrcp
+    piv, rdiag = [], []
+    for B in blocks:
+        _, R, p = qrcp(B, want_q=False)
+        piv.append(p)
+        rdiag.append(np.abs(np.diag(R)))
+    return piv, rdiag
+
+
+@pytest.mark.parametrize("tier", ["pure", pytest.param(
+    "native", marks=needs_native)])
+@pytest.mark.parametrize("shape", [(7, 32, 32), (9, 16, 32), (5, 40, 7),
+                                   (3, 1, 1), (4, 3, 9)])
+@pytest.mark.parametrize("layout", ["rows", "columns"])
+def test_qrcp_batch_matches_per_block_qrcp(tier, shape, layout):
+    rng = np.random.default_rng(sum(shape))
+    blocks = rng.standard_normal(shape) * np.logspace(0, -8, shape[2])
+    blocks[0, :, -1] = 0.0                  # an exactly zero column
+    if shape[2] > 1:
+        blocks[-1, :, 1] = blocks[-1, :, 0]  # a repeated column
+    if layout == "columns":   # each block column-major: read in place
+        blocks = np.ascontiguousarray(
+            blocks.transpose(0, 2, 1)).transpose(0, 2, 1)
+    piv, rdiag = kernels.qrcp_batch(blocks, tier=tier)
+    assert piv.dtype == np.int64 and piv.shape == shape[::2]
+    assert rdiag.shape == (shape[0], min(shape[1:]))
+    ref_piv, ref_rdiag = _qrcp_ref(blocks)
+    for b in range(shape[0]):
+        assert np.array_equal(piv[b], ref_piv[b])
+        assert rdiag[b].tobytes() == ref_rdiag[b].tobytes()
+
+
+@pytest.mark.parametrize("tier", ["pure", pytest.param(
+    "native", marks=needs_native)])
+@pytest.mark.parametrize("shape", [(0, 4, 4), (3, 0, 5), (2, 6, 0)])
+def test_qrcp_batch_empty_stacks_and_blocks(tier, shape):
+    piv, rdiag = kernels.qrcp_batch(np.zeros(shape), tier=tier)
+    assert piv.shape == (shape[0], shape[2])
+    assert rdiag.shape == (shape[0], min(shape[1:]))
+    assert np.array_equal(piv, np.tile(np.arange(shape[2]), (shape[0], 1)))
+
+
+@needs_native
+def test_qrcp_batch_parity_and_thread_local_scratch():
+    rng = np.random.default_rng(7)
+    stacks = [rng.standard_normal((150, 16 + 4 * i, 32)) for i in range(4)]
+    ref = [kernels.qrcp_batch(s, tier="pure") for s in stacks]
+    for s, (p, d) in zip(stacks, ref):
+        got = kernels.qrcp_batch(s, tier="native")
+        assert np.array_equal(got[0], p)
+        assert got[1].tobytes() == d.tobytes()
+    errors = []
+    barrier = threading.Barrier(4, timeout=60)
+
+    def run(i):
+        barrier.wait()
+        for _ in range(20):
+            p, d = kernels.qrcp_batch(stacks[i], tier="native")
+            if not (np.array_equal(p, ref[i][0])
+                    and d.tobytes() == ref[i][1].tobytes()):
+                errors.append(i)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+
+
 @needs_native
 def test_gram_symmetric_dense_panel_parity():
     # self-Gram takes the mirror path; density 0.6 and 1.0 both sit above

@@ -156,6 +156,23 @@ def test_kern_missing_header_is_kern001(tmp_path):
     assert "src/kernels.h" in findings[0].message
 
 
+def test_kern_address_token_pairs_with_a_void_pointer(tmp_path):
+    # a foreign function's address travels as `void *` / "void*"
+    # (c_void_p); a typed pointer on either side is a type mismatch
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "kernels.h").write_text(
+        "#include <stdint.h>\n"
+        "#define RK_EXPORT\n"
+        "RK_EXPORT int64_t rk_x(void *fn, int64_t n, double *v);\n")
+    mod = tmp_path / "bindings.py"
+    mod.write_text('_ABI = {"rk_x": ("i64", ("void*", "i64", "f64*"))}\n')
+    assert lint_paths([mod]) == []
+    mod.write_text('_ABI = {"rk_x": ("i64", ("f64*", "i64", "f64*"))}\n')
+    assert [f.code for f in lint_paths([mod])] == ["KERN002"]
+    mod.write_text('_ABI = {"rk_x": ("i64", ("void*", "i64", "void*"))}\n')
+    assert [f.code for f in lint_paths([mod])] == ["KERN002"]
+
+
 def test_kern_noqa_suppresses_on_the_entry_line(tmp_path):
     (tmp_path / "src").mkdir()
     (tmp_path / "src" / "kernels.h").write_text(
